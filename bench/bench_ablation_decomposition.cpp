@@ -41,11 +41,11 @@ int main(int argc, char** argv) {
                fmt_sig(hybrid, 3), fmt_sig(hybrid_base / hybrid, 3)});
     const std::string suffix = "/pes=" + std::to_string(pes);
     runner.record_value("ablation_decomp/atom" + suffix,
-                        "virtual_seconds_per_step", ad).param("pes", pes);
+                        "virtual_seconds_per_step", "s", ad).param("pes", pes);
     runner.record_value("ablation_decomp/force" + suffix,
-                        "virtual_seconds_per_step", fd).param("pes", pes);
+                        "virtual_seconds_per_step", "s", fd).param("pes", pes);
     runner.record_value("ablation_decomp/hybrid" + suffix,
-                        "virtual_seconds_per_step", hybrid).param("pes", pes);
+                        "virtual_seconds_per_step", "s", hybrid).param("pes", pes);
   }
   std::printf("%s", t.render().c_str());
 

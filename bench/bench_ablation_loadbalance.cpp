@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       runner
           .record_value(std::string("ablation_lb/") + s.slug +
                             "/pes=" + std::to_string(pes),
-                        "virtual_ms_per_step", r.ms_per_step)
+                        "virtual_ms_per_step", "ms", r.ms_per_step)
           .param("pes", pes)
           .param("proxies", r.proxies)
           .param("imbalance", r.imbalance)

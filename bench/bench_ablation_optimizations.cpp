@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     t.add_row({s.name, fmt_fixed(sec * 1e3, 1), fmt_sig(t1 / sec, 3)});
     runner
         .record_value(std::string("ablation_opt/") + s.slug,
-                      "virtual_seconds_per_step", sec)
+                      "virtual_seconds_per_step", "s", sec)
         .param("pes", 1024)
         .param("speedup_vs_1pe", t1 / sec)
         .label("stage", s.slug);

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
                fmt_sig(base / total, 3)});
     runner
         .record_value("fullelec/with_pme/pes=" + std::to_string(pes),
-                      "virtual_seconds_per_step", total)
+                      "virtual_seconds_per_step", "s", total)
         .param("pes", pes)
         .param("cutoff_seconds", cutoff)
         .param("pme_share", pme / total);

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     const GrainStats* s;
   } cases[] = {{"fig12/before_split", &before}, {"fig12/after_split", &after}};
   for (const auto& c : cases) {
-    runner.record_value(c.name, "largest_grain_ms", c.s->largest_ms)
+    runner.record_value(c.name, "largest_grain_ms", "ms", c.s->largest_ms)
         .param("mean_grain_ms", c.s->mean_ms)
         .param("tasks_per_step", static_cast<double>(c.s->tasks_per_step))
         .param("computes", static_cast<double>(c.s->computes));

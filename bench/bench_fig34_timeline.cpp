@@ -62,10 +62,10 @@ int main(int argc, char** argv) {
 
   perf::BenchReport report = perf::make_report("fig34");
   perf::BenchRunner runner;
-  runner.record_value("fig34/naive_multicast", "virtual_seconds_per_step", naive)
+  runner.record_value("fig34/naive_multicast", "virtual_seconds_per_step", "s", naive)
       .param("pes", 400);
   runner
-      .record_value("fig34/optimized_multicast", "virtual_seconds_per_step",
+      .record_value("fig34/optimized_multicast", "virtual_seconds_per_step", "s",
                     optimized)
       .param("pes", 400);
   report.benchmarks = runner.take_records();

@@ -200,7 +200,7 @@ int run_backend_bench(BackendKind backend, int pes, int threads, int steps,
   if (r.wall_clock) {
     rec = &runner.record_samples(name, "seconds_per_step", {r.seconds_per_step});
   } else {
-    rec = &runner.record_value(name, "virtual_seconds_per_step",
+    rec = &runner.record_value(name, "virtual_seconds_per_step", "s",
                                r.seconds_per_step);
   }
   rec->param("pes", pes)

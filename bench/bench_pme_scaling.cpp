@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
                     fmt_sig(worst.gather, 3), fmt_sig(worst.total(), 3)});
     runner
         .record_value("pme_scaling/phase/pes=" + std::to_string(pes),
-                      "virtual_seconds_per_step", worst.total())
+                      "virtual_seconds_per_step", "s", worst.total())
         .param("pes", pes)
         .param("slabs", slabs)
         .param("spread_seconds", worst.spread)
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
                       fmt_fixed(100.0 * (pme - cut) / pme, 1) + "%"});
     runner
         .record_value("pme_scaling/with_pme/pes=" + std::to_string(pes),
-                      "virtual_seconds_per_step", pme)
+                      "virtual_seconds_per_step", "s", pme)
         .param("pes", pes)
         .param("cutoff_seconds", cut)
         .param("pme_overhead", (pme - cut) / pme);
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
                            "%"});
     runner
         .record_value("pme_scaling/dedicated/ded=" + std::to_string(ded),
-                      "virtual_seconds_per_step", s)
+                      "virtual_seconds_per_step", "s", s)
         .param("pes", 32)
         .param("slabs", 8)
         .param("dedicated", ded);

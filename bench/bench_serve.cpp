@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
                 workers, last.jobs_per_hour, last.steps_per_sec,
                 100.0 * last.hit_rate);
     if (workers == worker_counts.front()) {
-      runner.record_value("serve/cache_hit_rate", "ratio", last.hit_rate);
+      runner.record_value("serve/cache_hit_rate", "ratio", "ratio", last.hit_rate);
       // The same batch with the artifact cache disabled, for the
       // cache-benefit delta in the printed table (not gated: cold builds
       // are the uncommon path).

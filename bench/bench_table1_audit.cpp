@@ -56,13 +56,13 @@ int main(int argc, char** argv) {
 
   perf::BenchReport report = perf::make_report("table1");
   perf::BenchRunner runner;
-  runner.record_value("table1/actual_total", "ms_per_step", actual.total)
+  runner.record_value("table1/actual_total", "ms_per_step", "ms", actual.total)
       .param("pes", kPes)
       .param("nonbonded_ms", actual.nonbonded)
       .param("overhead_ms", actual.overhead)
       .param("imbalance_ms", actual.imbalance)
       .param("idle_ms", actual.idle);
-  runner.record_value("table1/ideal_total", "ms_per_step", ideal.total)
+  runner.record_value("table1/ideal_total", "ms_per_step", "ms", ideal.total)
       .param("pes", kPes);
   report.benchmarks = runner.take_records();
   return bench::emit_report(args, report);

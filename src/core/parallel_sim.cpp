@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <map>
 #include <cmath>
 
-#include <fcntl.h>
-#include <unistd.h>
-
+#include "core/parallel_sim_rt.hpp"
 #include "ewald/full_elec.hpp"
 #include "ff/bonded.hpp"
 #include "lb/diffusion.hpp"
@@ -24,93 +21,6 @@
 #include "util/units.hpp"
 
 namespace scalemd {
-
-// ---------------------------------------------------------------------------
-// Runtime state structs
-// ---------------------------------------------------------------------------
-
-/// Home-patch runtime state: the atoms it owns plus step bookkeeping.
-struct ParallelSim::PatchRt {
-  std::vector<int> atoms;  ///< global atom ids
-  std::vector<Vec3> pos, vel, frc;
-  std::vector<double> mass;
-  int step = 0;               ///< next advance index within the cycle
-  int contrib_expected = 0;   ///< PEs (incl. home) that send force contributions
-  int contrib_received = 0;
-  /// Proxy ids in the order their contributions arrived this round. Only
-  /// recorded under the injected arrival-order defect (see ParallelOptions::
-  /// debug_fold_arrival_order); empty otherwise.
-  std::vector<int> arrival;
-  /// Full-electrostatics runs: per-slab PME force shares for the current
-  /// force round, assigned whole by on_pme_force and folded after the
-  /// compute contributions in slab order.
-  std::vector<std::vector<Vec3>> pme_frc;
-
-  int natoms() const { return static_cast<int>(atoms.size()); }
-};
-
-/// Proxy-patch state for one (patch, pe): the compute objects on that PE
-/// that read the patch, plus one private force buffer (scratch slot) per
-/// compute. The home patch folds every slot of every proxy in global
-/// compute-id order (patch_contribs_) once all contributions are in, so
-/// the sum is independent of the order the computes actually executed in —
-/// message faults, retries, placement changes and real thread timing
-/// reorder execution but not the physics.
-struct ParallelSim::ProxyRt {
-  int patch = 0;
-  int pe = 0;
-  std::vector<int> computes;
-  int pending = 0;  ///< computes not yet finished this step
-  std::vector<std::vector<Vec3>> scratch;  ///< per-compute, parallel to `computes`
-};
-
-/// Per-compute runtime state.
-struct ParallelSim::ComputeRt {
-  std::vector<int> deps;  ///< current patch dependencies (bonded deps can
-                          ///< change after atom migration)
-  int deps_pending = 0;
-  WorkCounters work;      ///< live-measured work (numeric mode)
-};
-
-/// Runtime state of one parallel-PME slab object. Every buffer is per-round
-/// transient: the PME pipeline is a per-step barrier (all patches deposit
-/// atoms before any slab spreads; all patches wait on every slab's force
-/// share before advancing), so by the time any step-(s+1) message can reach
-/// a slab its step-s state has been fully consumed — one set of buffers
-/// suffices, with no per-step keying.
-struct ParallelSim::PmeSlabRt {
-  int step = 0;             ///< local step currently assembling
-  int atoms_pending = 0;    ///< patch deposits yet to arrive this round
-  int fwd_pending = 0;      ///< forward transpose blocks yet to arrive
-  int bwd_pending = 0;      ///< backward transpose blocks yet to arrive
-  double recip_energy = 0.0;  ///< phase-2 reciprocal partial of this round
-  // Numeric mode only: per-patch position deposits, the assembled
-  // global-order snapshot, and the two grid chunks (plane / column roles).
-  std::vector<std::vector<Vec3>> patch_pos;
-  std::vector<Vec3> all_pos;
-  std::vector<std::complex<double>> planes, columns;
-};
-
-/// Coordinated in-memory checkpoint: everything needed to replay from a
-/// quiesced cycle boundary. Placement (patch_home/compute_pe) is captured
-/// too, so a restore rewinds any load balancing done since, and evacuation
-/// always starts from a self-consistent snapshot.
-struct ParallelSim::Checkpoint {
-  double taken_at = 0.0;  ///< virtual time of the snapshot
-  std::vector<PatchRt> patches;
-  std::vector<std::pair<int, int>> atom_loc;
-  std::vector<std::vector<int>> compute_deps;
-  std::vector<int> patch_home;
-  std::vector<int> compute_pe;
-  std::vector<int> slab_pe;  ///< PME slab placement (empty when PME is off)
-  std::vector<double> reduction_totals;
-  std::vector<EnergyTerms> potential_per_step;
-  std::vector<double> step_completion;
-  std::vector<double> step_last_advance;
-  std::vector<int> steps_done_counter;
-  int global_steps = 0;
-  Rng noise_rng{0};
-};
 
 // ---------------------------------------------------------------------------
 // Workload
@@ -420,9 +330,7 @@ int ParallelSim::proxy_index(int patch, int pe) const {
 void ParallelSim::publish_coords(ExecContext& ctx, int patch) {
   PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
   const int home = patch_home_[static_cast<std::size_t>(patch)];
-  const std::size_t bytes = static_cast<std::size_t>(opts_.msg_header_bytes) +
-                            static_cast<std::size_t>(pr.natoms()) *
-                                static_cast<std::size_t>(opts_.bytes_per_atom_coord);
+  const std::size_t bytes = msg_bytes(pr.atoms.size(), opts_.bytes_per_atom_coord);
 
   // Home-side proxy (if any computes run here) is serviced directly.
   std::vector<int> remote;
@@ -445,20 +353,13 @@ void ParallelSim::publish_coords(ExecContext& ctx, int patch) {
         if (proc_ != nullptr && proc_->owner_of(pe) != proc_->owner_of(home)) {
           msg.has_wire = true;
           msg.wire.ints = {patch, pr.step};
-          msg.wire.reals.reserve(pr.pos.size() * 3);
-          for (const Vec3& v : pr.pos) {
-            msg.wire.reals.push_back(v.x);
-            msg.wire.reals.push_back(v.y);
-            msg.wire.reals.push_back(v.z);
-          }
+          append_reals(msg.wire.reals, pr.pos);
         }
         msg.fn = [this, patch, pe](ExecContext& c) {
           c.charge_pack(
-              static_cast<double>(
-                  static_cast<std::size_t>(opts_.msg_header_bytes) +
-                  static_cast<std::size_t>(
-                      patches_[static_cast<std::size_t>(patch)].natoms()) *
-                      static_cast<std::size_t>(opts_.bytes_per_atom_coord)) *
+              static_cast<double>(msg_bytes(
+                  patches_[static_cast<std::size_t>(patch)].atoms.size(),
+                  opts_.bytes_per_atom_coord)) *
               c.machine().unpack_byte_cost);
           on_recv_coords(c, patch, pe);
         };
@@ -661,10 +562,9 @@ void ParallelSim::complete_patch_on_pe(ExecContext& ctx, int patch, int pe) {
     on_contribution(ctx, patch, pxy);
     return;
   }
-  const std::size_t bytes = static_cast<std::size_t>(opts_.msg_header_bytes) +
-                            static_cast<std::size_t>(
-                                patches_[static_cast<std::size_t>(patch)].natoms()) *
-                                static_cast<std::size_t>(opts_.bytes_per_atom_force);
+  const std::size_t bytes =
+      msg_bytes(patches_[static_cast<std::size_t>(patch)].atoms.size(),
+                opts_.bytes_per_atom_force);
   TaskMsg msg;
   msg.entry = e_forces_;
   msg.priority = -2;
@@ -676,16 +576,9 @@ void ParallelSim::complete_patch_on_pe(ExecContext& ctx, int patch, int pe) {
     const ProxyRt& proxy = proxies_[static_cast<std::size_t>(pxy)];
     msg.has_wire = true;
     msg.wire.ints = {patch, pxy};
-    std::size_t total = 0;
-    for (const auto& s : proxy.scratch) total += s.size() * 3;
-    msg.wire.reals.reserve(total);
-    for (const auto& s : proxy.scratch) {
-      for (const Vec3& v : s) {
-        msg.wire.reals.push_back(v.x);
-        msg.wire.reals.push_back(v.y);
-        msg.wire.reals.push_back(v.z);
-      }
-    }
+    msg.wire.reals.reserve(proxy.scratch.size() * 3 *
+                           patches_[static_cast<std::size_t>(patch)].pos.size());
+    for (const auto& s : proxy.scratch) append_reals(msg.wire.reals, s);
   }
   msg.fn = [this, patch, pxy, bytes](ExecContext& c) {
     c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
@@ -875,9 +768,7 @@ void ParallelSim::publish_pme_atoms(ExecContext& ctx, int patch) {
   PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
   const int home = patch_home_[static_cast<std::size_t>(patch)];
   const int step = pr.step;
-  const std::size_t bytes = static_cast<std::size_t>(opts_.msg_header_bytes) +
-                            static_cast<std::size_t>(pr.natoms()) *
-                                static_cast<std::size_t>(opts_.bytes_per_atom_coord);
+  const std::size_t bytes = msg_bytes(pr.atoms.size(), opts_.bytes_per_atom_coord);
   const std::uint64_t obj_base =
       static_cast<std::uint64_t>(wl_->plan.migratable_count()) + 1;
   for (int s = 0; s < pme_plan_->slabs(); ++s) {
@@ -894,12 +785,7 @@ void ParallelSim::publish_pme_atoms(ExecContext& ctx, int patch) {
     if (proc_ != nullptr && proc_->owner_of(pe) != proc_->owner_of(home)) {
       msg.has_wire = true;
       msg.wire.ints = {s, patch, step};
-      msg.wire.reals.reserve(pr.pos.size() * 3);
-      for (const Vec3& v : pr.pos) {
-        msg.wire.reals.push_back(v.x);
-        msg.wire.reals.push_back(v.y);
-        msg.wire.reals.push_back(v.z);
-      }
+      append_reals(msg.wire.reals, pr.pos);
     }
     msg.fn = [this, s, patch, step, bytes](ExecContext& c) {
       c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
@@ -921,10 +807,7 @@ void ParallelSim::on_pme_atoms(ExecContext& ctx, int slab, int patch, int step,
     std::vector<Vec3>& buf = rt.patch_pos[static_cast<std::size_t>(patch)];
     if (wire_pos != nullptr) {
       buf.resize(wire_pos->size() / 3);
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        buf[i] = {(*wire_pos)[3 * i], (*wire_pos)[3 * i + 1],
-                  (*wire_pos)[3 * i + 2]};
-      }
+      read_reals(*wire_pos, 0, buf);
     } else {
       buf = patches_[static_cast<std::size_t>(patch)].pos;
     }
@@ -956,8 +839,7 @@ void ParallelSim::pme_spread_and_transpose(ExecContext& ctx, int slab) {
   for (int dst = 0; dst < pme_plan_->slabs(); ++dst) {
     const int pe = slab_pe_[static_cast<std::size_t>(dst)];
     const std::size_t bytes =
-        static_cast<std::size_t>(opts_.msg_header_bytes) +
-        pme_plan_->block_doubles(slab, dst) * sizeof(double);
+        msg_bytes(pme_plan_->block_doubles(slab, dst), sizeof(double));
     TaskMsg msg;
     msg.entry = e_pme_tr_fwd_;
     msg.priority = -1;
@@ -1004,8 +886,7 @@ void ParallelSim::pme_convolve_and_return(ExecContext& ctx, int slab) {
     // The backward block dst <- slab covers the same grid region as the
     // forward block dst -> slab, so it has the same size.
     const std::size_t bytes =
-        static_cast<std::size_t>(opts_.msg_header_bytes) +
-        pme_plan_->block_doubles(dst, slab) * sizeof(double);
+        msg_bytes(pme_plan_->block_doubles(dst, slab), sizeof(double));
     TaskMsg msg;
     msg.entry = e_pme_tr_bwd_;
     msg.priority = -1;
@@ -1068,9 +949,7 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
     const int patch = static_cast<int>(p);
     const int home = patch_home_[p];
     const std::size_t bytes =
-        static_cast<std::size_t>(opts_.msg_header_bytes) +
-        patches_[p].atoms.size() *
-            static_cast<std::size_t>(opts_.bytes_per_atom_force);
+        msg_bytes(patches_[p].atoms.size(), opts_.bytes_per_atom_force);
     std::vector<Vec3> frc;
     if (opts_.numeric) {
       frc.reserve(patches_[p].atoms.size());
@@ -1087,12 +966,7 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
             proc_->owner_of(slab_pe_[static_cast<std::size_t>(slab)])) {
       msg.has_wire = true;
       msg.wire.ints = {patch, slab, step};
-      msg.wire.reals.reserve(frc.size() * 3);
-      for (const Vec3& v : frc) {
-        msg.wire.reals.push_back(v.x);
-        msg.wire.reals.push_back(v.y);
-        msg.wire.reals.push_back(v.z);
-      }
+      append_reals(msg.wire.reals, frc);
     }
     msg.fn = [this, patch, slab, bytes,
               frc = std::move(frc)](ExecContext& c) mutable {
@@ -1296,717 +1170,8 @@ double ParallelSim::run_benchmark(int measure_steps, int timed_steps) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint / restart / evacuation
+// Failure evacuation (checkpoint/restart and the process wire: sim_state.cpp)
 // ---------------------------------------------------------------------------
-
-void ParallelSim::snapshot_to(Checkpoint& c) const {
-  c.taken_at = exec_->time();
-  c.patches = patches_;
-  c.atom_loc = atom_loc_;
-  c.compute_deps.resize(computes_.size());
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    c.compute_deps[i] = computes_[i].deps;
-  }
-  c.patch_home = patch_home_;
-  c.compute_pe = compute_pe_;
-  c.slab_pe = slab_pe_;
-  c.reduction_totals = reduction_totals_;
-  c.potential_per_step = potential_per_step_;
-  c.step_completion = step_completion_;
-  c.step_last_advance = step_last_advance_;
-  c.steps_done_counter = steps_done_counter_;
-  c.global_steps = global_steps_;
-  c.noise_rng = noise_rng_;
-}
-
-void ParallelSim::take_checkpoint() {
-  assert(exec_->idle());
-  if (proc_ != nullptr) {
-    // Process backend: the checkpoint goes to disk through the wire layer
-    // (one kCheckpoint frame), and the in-memory copy is dropped — restore
-    // must survive on what actually hit the file, exactly like a recovery
-    // after a real crash would.
-    Checkpoint c;
-    snapshot_to(c);
-    const int fd = ::open(opts_.checkpoint_path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0 ||
-        !wire::write_frame(fd, wire::FrameType::kCheckpoint, encode_checkpoint(c))) {
-      std::fprintf(stderr, "[scalemd] cannot write checkpoint to %s\n",
-                   opts_.checkpoint_path.c_str());
-      std::abort();
-    }
-    ::close(fd);
-    ckpt_.reset();
-    ckpt_on_disk_ = true;
-    cycles_since_ckpt_.clear();
-    ++checkpoints_taken_;
-    sinks_.on_fault({FaultKind::kCheckpoint, -1, -1, c.taken_at, 0.0});
-    return;
-  }
-  assert(des_ != nullptr && "checkpointing requires the DES or process backend");
-  if (!ckpt_) ckpt_ = std::make_unique<Checkpoint>();
-  snapshot_to(*ckpt_);
-  cycles_since_ckpt_.clear();
-  ++checkpoints_taken_;
-  des_->record_fault({FaultKind::kCheckpoint, -1, -1, ckpt_->taken_at, 0.0});
-
-  // Model the coordinated snapshot's cost: each live PE spends time
-  // serializing its resident patch state (this is the overhead the audit
-  // reports for fault-free runs with checkpointing on).
-  std::vector<double> bytes_on_pe(static_cast<std::size_t>(opts_.num_pes), 0.0);
-  for (std::size_t p = 0; p < patches_.size(); ++p) {
-    bytes_on_pe[static_cast<std::size_t>(patch_home_[p])] +=
-        96.0 * static_cast<double>(patches_[p].natoms());
-  }
-  const double t0 = des_->time();
-  for (int pe = 0; pe < opts_.num_pes; ++pe) {
-    if (des_->pe_failed(pe)) continue;
-    const double cost =
-        bytes_on_pe[static_cast<std::size_t>(pe)] * opts_.machine.pack_byte_cost;
-    TaskMsg msg;
-    msg.entry = e_checkpoint_;
-    msg.fn = [cost](ExecContext& cc) { cc.charge(cost); };
-    des_->inject(pe, std::move(msg), t0);
-  }
-  des_->run();
-  assert(des_->idle());
-}
-
-void ParallelSim::restore_from(const Checkpoint& c) {
-  const double now = exec_->time();
-  const double lost = now - c.taken_at;
-  restart_lost_time_ += lost;
-  ++restarts_;
-
-  apply_checkpoint(c);
-
-  // The clock is NOT rewound: the lost interval is the real cost of redoing
-  // work, and is what restart_latency() reports.
-  sinks_.on_fault({FaultKind::kRestart, -1, -1, now, lost});
-}
-
-void ParallelSim::apply_checkpoint(const Checkpoint& c) {
-  patches_ = c.patches;
-  atom_loc_ = c.atom_loc;
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    computes_[i].deps = c.compute_deps[i];
-  }
-  patch_home_ = c.patch_home;
-  compute_pe_ = c.compute_pe;
-  slab_pe_ = c.slab_pe;
-  reduction_totals_ = c.reduction_totals;
-  potential_per_step_ = c.potential_per_step;
-  step_completion_ = c.step_completion;
-  step_last_advance_ = c.step_last_advance;
-  steps_done_counter_ = c.steps_done_counter;
-  global_steps_ = c.global_steps;
-  noise_rng_ = c.noise_rng;
-
-  // Un-acked pre-restart sends must not be resurrected by stale retries;
-  // replayed sends get fresh sequence ids so dedup cannot misfire either.
-  if (reliable_) reliable_->clear_pending();
-
-  const std::vector<int> dead = exec_->failed_pes();
-  if (!dead.empty()) {
-    evacuate_failed_pes(dead);
-  } else {
-    // No failure — the stall came from unrecovered message loss. Replaying
-    // from the snapshot redraws the per-message fault decisions, so a
-    // retry has an independent chance of a clean pass.
-    rebuild_reducer();
-    rebuild_dataflow();
-  }
-}
-
-void ParallelSim::restore_checkpoint() {
-  assert(have_checkpoint());
-  if (proc_ != nullptr) {
-    const int fd = ::open(opts_.checkpoint_path.c_str(), O_RDONLY);
-    wire::FrameType type{};
-    std::vector<std::uint8_t> payload;
-    const wire::WireError err =
-        fd < 0 ? wire::WireError::kIo : wire::read_frame(fd, type, payload);
-    if (fd >= 0) ::close(fd);
-    if (err != wire::WireError::kOk || type != wire::FrameType::kCheckpoint) {
-      std::fprintf(stderr, "[scalemd] cannot restore checkpoint from %s: %s\n",
-                   opts_.checkpoint_path.c_str(), wire::wire_error_name(err));
-      std::abort();
-    }
-    Checkpoint c;
-    decode_checkpoint(payload, c);
-    restore_from(c);
-    return;
-  }
-  assert(ckpt_ && des_ != nullptr);
-  restore_from(*ckpt_);
-}
-
-std::vector<std::uint8_t> ParallelSim::export_state() const {
-  assert(exec_->idle() && "export_state needs a quiesced machine");
-  Checkpoint c;
-  snapshot_to(c);
-  return encode_checkpoint(c);
-}
-
-void ParallelSim::import_state(const std::vector<std::uint8_t>& blob) {
-  assert(exec_->idle() && "import_state needs a quiesced machine");
-  Checkpoint c;
-  decode_checkpoint(blob, c);
-  apply_checkpoint(c);
-}
-
-// ---------------------------------------------------------------------------
-// Process-backend wire plumbing
-// ---------------------------------------------------------------------------
-
-namespace {
-
-[[noreturn]] void wire_state_error(const char* what) {
-  std::fprintf(stderr, "[scalemd] process wire: %s\n", what);
-  std::abort();
-}
-
-void encode_vec3s(wire::Encoder& e, const std::vector<Vec3>& v) {
-  for (const Vec3& x : v) {
-    e.f64(x.x);
-    e.f64(x.y);
-    e.f64(x.z);
-  }
-}
-
-bool decode_vec3s(wire::Decoder& d, std::vector<Vec3>& v) {
-  for (Vec3& x : v) {
-    if (!d.f64(x.x) || !d.f64(x.y) || !d.f64(x.z)) return false;
-  }
-  return true;
-}
-
-void encode_terms(wire::Encoder& e, const EnergyTerms& t) {
-  e.f64(t.lj);
-  e.f64(t.elec);
-  e.f64(t.bond);
-  e.f64(t.angle);
-  e.f64(t.dihedral);
-  e.f64(t.improper);
-}
-
-bool decode_terms(wire::Decoder& d, EnergyTerms& t) {
-  return d.f64(t.lj) && d.f64(t.elec) && d.f64(t.bond) && d.f64(t.angle) &&
-         d.f64(t.dihedral) && d.f64(t.improper);
-}
-
-}  // namespace
-
-void ParallelSim::setup_process_wire() {
-  // Coordinates crossing a worker boundary: apply the shipped positions and
-  // step index to the receiving worker's patch replica, then run the normal
-  // receive path. ints = [patch, step], reals = positions.
-  proc_->register_decoder(e_coords_, [this](const WirePayload& w) -> TaskFn {
-    return [this, w](ExecContext& c) {
-      if (w.ints.size() != 2) wire_state_error("bad coords header");
-      const int patch = static_cast<int>(w.ints[0]);
-      if (patch < 0 || static_cast<std::size_t>(patch) >= patches_.size()) {
-        wire_state_error("coords patch out of range");
-      }
-      PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
-      if (w.reals.size() != pr.pos.size() * 3) {
-        wire_state_error("coords payload size mismatch");
-      }
-      pr.step = static_cast<int>(w.ints[1]);
-      for (std::size_t i = 0; i < pr.pos.size(); ++i) {
-        pr.pos[i] = {w.reals[3 * i], w.reals[3 * i + 1], w.reals[3 * i + 2]};
-      }
-      c.charge_pack(
-          static_cast<double>(
-              static_cast<std::size_t>(opts_.msg_header_bytes) +
-              pr.pos.size() *
-                  static_cast<std::size_t>(opts_.bytes_per_atom_coord)) *
-          c.machine().unpack_byte_cost);
-      on_recv_coords(c, patch, c.pe());
-    };
-  });
-
-  // Force contributions arriving at the home worker: copy every scratch
-  // slot of the contributing proxy into the local replica, then signal the
-  // contribution. ints = [patch, proxy index], reals = slots flattened.
-  proc_->register_decoder(e_forces_, [this](const WirePayload& w) -> TaskFn {
-    return [this, w](ExecContext& c) {
-      if (w.ints.size() != 2) wire_state_error("bad forces header");
-      const int patch = static_cast<int>(w.ints[0]);
-      const int pxy = static_cast<int>(w.ints[1]);
-      if (pxy < 0 || static_cast<std::size_t>(pxy) >= proxies_.size() ||
-          proxies_[static_cast<std::size_t>(pxy)].patch != patch) {
-        wire_state_error("forces proxy out of range");
-      }
-      ProxyRt& proxy = proxies_[static_cast<std::size_t>(pxy)];
-      std::size_t need = 0;
-      for (const auto& s : proxy.scratch) need += s.size() * 3;
-      if (w.reals.size() != need) {
-        wire_state_error("forces payload size mismatch");
-      }
-      std::size_t off = 0;
-      for (auto& s : proxy.scratch) {
-        for (Vec3& v : s) {
-          v = {w.reals[off], w.reals[off + 1], w.reals[off + 2]};
-          off += 3;
-        }
-      }
-      const std::size_t bytes =
-          static_cast<std::size_t>(opts_.msg_header_bytes) +
-          patches_[static_cast<std::size_t>(patch)].pos.size() *
-              static_cast<std::size_t>(opts_.bytes_per_atom_force);
-      c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
-      on_contribution(c, patch, pxy);
-    };
-  });
-
-  // Reduction partial sums climbing the tree. ints = [parent rank, round,
-  // forwarded, n, ids...], reals = the n values (raw IEEE bits).
-  proc_->register_decoder(e_reduction_, [this](const WirePayload& w) -> TaskFn {
-    return [this, w](ExecContext& c) {
-      if (w.ints.size() < 4) wire_state_error("bad reduction header");
-      const int parent_rank = static_cast<int>(w.ints[0]);
-      const int round = static_cast<int>(w.ints[1]);
-      const int forwarded = static_cast<int>(w.ints[2]);
-      const std::size_t n = static_cast<std::size_t>(w.ints[3]);
-      if (w.ints.size() != 4 + n || w.reals.size() != n) {
-        wire_state_error("reduction payload size mismatch");
-      }
-      std::vector<std::pair<int, double>> parts;
-      parts.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        parts.push_back({static_cast<int>(w.ints[4 + i]), w.reals[i]});
-      }
-      c.charge(1e-6);  // combine cost (parity with the in-process closure)
-      reducer_->deliver(c, parent_rank, round, std::move(parts), forwarded);
-    };
-  });
-
-  // PME frames (full-electrostatics runs only; the entries are registered
-  // before this point whenever pme_plan_ exists, so registering the
-  // decoders unconditionally on pme_plan_ is safe).
-  if (pme_plan_ != nullptr) {
-    // Atom deposit crossing a worker boundary: the slab's worker cannot
-    // read the patch replica, so positions ride the wire and land in the
-    // slab's own per-patch buffer (never the replica — that belongs to the
-    // coordinate path). ints = [slab, patch, step], reals = positions.
-    proc_->register_decoder(e_pme_atoms_, [this](const WirePayload& w) -> TaskFn {
-      return [this, w](ExecContext& c) {
-        if (w.ints.size() != 3) wire_state_error("bad pme atoms header");
-        const int slab = static_cast<int>(w.ints[0]);
-        const int patch = static_cast<int>(w.ints[1]);
-        if (slab < 0 || static_cast<std::size_t>(slab) >= pme_slabs_.size() ||
-            patch < 0 || static_cast<std::size_t>(patch) >= patches_.size()) {
-          wire_state_error("pme atoms target out of range");
-        }
-        if (w.reals.size() !=
-            patches_[static_cast<std::size_t>(patch)].atoms.size() * 3) {
-          wire_state_error("pme atoms payload size mismatch");
-        }
-        c.charge_pack(
-            static_cast<double>(
-                static_cast<std::size_t>(opts_.msg_header_bytes) +
-                patches_[static_cast<std::size_t>(patch)].atoms.size() *
-                    static_cast<std::size_t>(opts_.bytes_per_atom_coord)) *
-            c.machine().unpack_byte_cost);
-        on_pme_atoms(c, slab, patch, static_cast<int>(w.ints[2]), &w.reals);
-      };
-    });
-
-    // Transpose blocks. ints = [dst slab, src slab], reals = the block.
-    const auto transpose_decoder = [this](bool forward) {
-      return [this, forward](const WirePayload& w) -> TaskFn {
-        return [this, forward, w](ExecContext& c) {
-          if (w.ints.size() != 2) wire_state_error("bad pme transpose header");
-          const int dst = static_cast<int>(w.ints[0]);
-          const int src = static_cast<int>(w.ints[1]);
-          if (dst < 0 || static_cast<std::size_t>(dst) >= pme_slabs_.size() ||
-              src < 0 || static_cast<std::size_t>(src) >= pme_slabs_.size()) {
-            wire_state_error("pme transpose slab out of range");
-          }
-          const std::size_t doubles = forward
-                                          ? pme_plan_->block_doubles(src, dst)
-                                          : pme_plan_->block_doubles(dst, src);
-          if (w.reals.size() != doubles) {
-            wire_state_error("pme transpose block size mismatch");
-          }
-          c.charge_pack(
-              static_cast<double>(
-                  static_cast<std::size_t>(opts_.msg_header_bytes) +
-                  doubles * sizeof(double)) *
-              c.machine().unpack_byte_cost);
-          if (forward) {
-            on_pme_fwd(c, dst, src, w.reals);
-          } else {
-            on_pme_bwd(c, dst, src, w.reals);
-          }
-        };
-      };
-    };
-    proc_->register_decoder(e_pme_tr_fwd_, transpose_decoder(true));
-    proc_->register_decoder(e_pme_tr_bwd_, transpose_decoder(false));
-
-    // Force shares back to the patch home. ints = [patch, slab, step],
-    // reals = the per-atom force block.
-    proc_->register_decoder(e_pme_force_, [this](const WirePayload& w) -> TaskFn {
-      return [this, w](ExecContext& c) {
-        if (w.ints.size() != 3) wire_state_error("bad pme force header");
-        const int patch = static_cast<int>(w.ints[0]);
-        const int slab = static_cast<int>(w.ints[1]);
-        if (patch < 0 || static_cast<std::size_t>(patch) >= patches_.size() ||
-            slab < 0 || static_cast<std::size_t>(slab) >= pme_slabs_.size()) {
-          wire_state_error("pme force target out of range");
-        }
-        const std::size_t natoms =
-            patches_[static_cast<std::size_t>(patch)].atoms.size();
-        if (w.reals.size() != natoms * 3) {
-          wire_state_error("pme force payload size mismatch");
-        }
-        std::vector<Vec3> frc(natoms);
-        for (std::size_t i = 0; i < natoms; ++i) {
-          frc[i] = {w.reals[3 * i], w.reals[3 * i + 1], w.reals[3 * i + 2]};
-        }
-        c.charge_pack(
-            static_cast<double>(
-                static_cast<std::size_t>(opts_.msg_header_bytes) +
-                natoms * static_cast<std::size_t>(opts_.bytes_per_atom_force)) *
-            c.machine().unpack_byte_cost);
-        on_pme_force(c, patch, slab, std::move(frc));
-      };
-    });
-  }
-
-  proc_->set_state_hooks(
-      [this](int worker, int workers) {
-        (void)workers;
-        return flush_worker_state(worker, proc_->workers());
-      },
-      [this](int worker, const std::vector<std::uint8_t>& blob) {
-        merge_worker_state(worker, blob);
-      });
-}
-
-std::vector<std::uint8_t> ParallelSim::flush_worker_state(int worker,
-                                                          int workers) const {
-  (void)workers;
-  wire::Encoder e;
-
-  // Owned patches: position/velocity/force/step, mutated by advance() on
-  // the home PE (always local to this worker).
-  std::uint64_t owned_patches = 0;
-  for (std::size_t p = 0; p < patches_.size(); ++p) {
-    if (proc_->owner_of(patch_home_[p]) == worker) ++owned_patches;
-  }
-  e.u64(owned_patches);
-  for (std::size_t p = 0; p < patches_.size(); ++p) {
-    if (proc_->owner_of(patch_home_[p]) != worker) continue;
-    const PatchRt& pr = patches_[p];
-    e.i64(static_cast<std::int64_t>(p));
-    e.u64(pr.pos.size());
-    e.i64(pr.step);
-    encode_vec3s(e, pr.pos);
-    encode_vec3s(e, pr.vel);
-    encode_vec3s(e, pr.frc);
-  }
-
-  // Potential-energy scratch rows of the computes this worker ran.
-  const std::size_t row = static_cast<std::size_t>(cycle_target_ + 1);
-  std::uint64_t owned_computes = 0;
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    if (proc_->owner_of(compute_pe_[i]) == worker) ++owned_computes;
-  }
-  e.u64(owned_computes);
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    if (proc_->owner_of(compute_pe_[i]) != worker) continue;
-    e.i64(static_cast<std::int64_t>(i));
-    for (std::size_t s = 0; s < row; ++s) {
-      encode_terms(e, potential_scratch_[i * row + s]);
-    }
-  }
-
-  // Per-step progress over this cycle's range: the counter delta this
-  // worker contributed (the range was zeroed before the fork, so the local
-  // value IS the delta) and the latest advance time it saw.
-  for (int s = 0; s <= cycle_target_; ++s) {
-    const std::size_t g = static_cast<std::size_t>(step_base_ + s);
-    e.i64(steps_done_counter_[g]);
-    e.f64(step_last_advance_[g]);
-  }
-
-  // Reduction totals land at the tree root; only its worker reports them.
-  if (proc_->owner_of(reducer_->root_pe()) == worker) {
-    const std::int64_t have =
-        static_cast<std::int64_t>(reduction_totals_.size()) - step_base_;
-    const std::uint64_t n = static_cast<std::uint64_t>(std::clamp<std::int64_t>(
-        have, 0, cycle_target_ + 1));
-    e.u8(1);
-    e.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      e.f64(reduction_totals_[static_cast<std::size_t>(step_base_) + i]);
-    }
-  } else {
-    e.u8(0);
-  }
-
-  // PME energy rows of the slabs homed on this worker (forces already
-  // arrived at the patch workers through the wire; the per-(slab, step)
-  // energy partials live only on the slab's own worker).
-  if (pme_plan_ != nullptr) {
-    std::uint64_t owned_slabs = 0;
-    for (std::size_t s = 0; s < slab_pe_.size(); ++s) {
-      if (proc_->owner_of(slab_pe_[s]) == worker) ++owned_slabs;
-    }
-    e.u64(owned_slabs);
-    for (std::size_t s = 0; s < slab_pe_.size(); ++s) {
-      if (proc_->owner_of(slab_pe_[s]) != worker) continue;
-      e.i64(static_cast<std::int64_t>(s));
-      for (std::size_t st = 0; st < row; ++st) {
-        e.f64(pme_scratch_[s * row + st]);
-      }
-    }
-  }
-  return e.take();
-}
-
-void ParallelSim::merge_worker_state(int worker, const std::vector<std::uint8_t>& blob) {
-  (void)worker;
-  wire::Decoder d(blob);
-
-  std::uint64_t owned_patches = 0;
-  if (!d.u64(owned_patches)) wire_state_error("truncated state blob");
-  for (std::uint64_t k = 0; k < owned_patches; ++k) {
-    std::int64_t p = 0, step = 0;
-    std::uint64_t natoms = 0;
-    if (!d.i64(p) || !d.u64(natoms) || !d.i64(step) || p < 0 ||
-        static_cast<std::size_t>(p) >= patches_.size()) {
-      wire_state_error("bad patch record");
-    }
-    PatchRt& pr = patches_[static_cast<std::size_t>(p)];
-    if (natoms != pr.pos.size()) wire_state_error("patch size mismatch");
-    pr.step = static_cast<int>(step);
-    if (!decode_vec3s(d, pr.pos) || !decode_vec3s(d, pr.vel) ||
-        !decode_vec3s(d, pr.frc)) {
-      wire_state_error("truncated patch record");
-    }
-  }
-
-  const std::size_t row = static_cast<std::size_t>(cycle_target_ + 1);
-  std::uint64_t owned_computes = 0;
-  if (!d.u64(owned_computes)) wire_state_error("truncated state blob");
-  for (std::uint64_t k = 0; k < owned_computes; ++k) {
-    std::int64_t i = 0;
-    if (!d.i64(i) || i < 0 || static_cast<std::size_t>(i) >= computes_.size()) {
-      wire_state_error("bad compute record");
-    }
-    for (std::size_t s = 0; s < row; ++s) {
-      if (!decode_terms(d, potential_scratch_[static_cast<std::size_t>(i) * row + s])) {
-        wire_state_error("truncated compute record");
-      }
-    }
-  }
-
-  for (int s = 0; s <= cycle_target_; ++s) {
-    const std::size_t g = static_cast<std::size_t>(step_base_ + s);
-    std::int64_t delta = 0;
-    double last = 0.0;
-    if (!d.i64(delta) || !d.f64(last)) wire_state_error("truncated progress");
-    steps_done_counter_[g] += static_cast<int>(delta);
-    step_last_advance_[g] = std::max(step_last_advance_[g], last);
-    if (steps_done_counter_[g] == active_patches_) {
-      step_completion_[g] = step_last_advance_[g];
-    }
-  }
-
-  std::uint8_t has_reduction = 0;
-  if (!d.u8(has_reduction)) wire_state_error("truncated state blob");
-  if (has_reduction != 0) {
-    std::uint64_t n = 0;
-    if (!d.count(n, 8)) wire_state_error("bad reduction count");
-    const std::size_t need = static_cast<std::size_t>(step_base_) + n;
-    if (reduction_totals_.size() < need) reduction_totals_.resize(need, 0.0);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (!d.f64(reduction_totals_[static_cast<std::size_t>(step_base_) + i])) {
-        wire_state_error("truncated reduction totals");
-      }
-    }
-  }
-  if (pme_plan_ != nullptr) {
-    std::uint64_t owned_slabs = 0;
-    if (!d.u64(owned_slabs)) wire_state_error("truncated state blob");
-    for (std::uint64_t k = 0; k < owned_slabs; ++k) {
-      std::int64_t s = 0;
-      if (!d.i64(s) || s < 0 ||
-          static_cast<std::size_t>(s) >= pme_slabs_.size()) {
-        wire_state_error("bad pme slab record");
-      }
-      for (std::size_t st = 0; st < row; ++st) {
-        if (!d.f64(pme_scratch_[static_cast<std::size_t>(s) * row + st])) {
-          wire_state_error("truncated pme slab record");
-        }
-      }
-    }
-  }
-  if (!d.done()) wire_state_error("trailing bytes in state blob");
-}
-
-std::vector<std::uint8_t> ParallelSim::encode_checkpoint(const Checkpoint& c) const {
-  wire::Encoder e;
-  e.f64(c.taken_at);
-  e.u64(c.patches.size());
-  for (const PatchRt& pr : c.patches) {
-    e.u64(pr.atoms.size());
-    for (int a : pr.atoms) e.i64(a);
-    encode_vec3s(e, pr.pos);
-    encode_vec3s(e, pr.vel);
-    encode_vec3s(e, pr.frc);
-    for (double m : pr.mass) e.f64(m);
-    e.i64(pr.step);
-  }
-  e.u64(c.atom_loc.size());
-  for (const auto& [p, i] : c.atom_loc) {
-    e.i64(p);
-    e.i64(i);
-  }
-  e.u64(c.compute_deps.size());
-  for (const auto& deps : c.compute_deps) {
-    e.u64(deps.size());
-    for (int p : deps) e.i64(p);
-  }
-  e.u64(c.patch_home.size());
-  for (int pe : c.patch_home) e.i64(pe);
-  e.u64(c.compute_pe.size());
-  for (int pe : c.compute_pe) e.i64(pe);
-  e.u64(c.reduction_totals.size());
-  for (double v : c.reduction_totals) e.f64(v);
-  e.u64(c.potential_per_step.size());
-  for (const EnergyTerms& t : c.potential_per_step) encode_terms(e, t);
-  e.u64(c.step_completion.size());
-  for (double v : c.step_completion) e.f64(v);
-  e.u64(c.step_last_advance.size());
-  for (double v : c.step_last_advance) e.f64(v);
-  e.u64(c.steps_done_counter.size());
-  for (int v : c.steps_done_counter) e.i64(v);
-  e.i64(c.global_steps);
-  const Rng::State rs = c.noise_rng.state();
-  for (std::uint64_t s : rs.s) e.u64(s);
-  e.u64(rs.seed);
-  e.u8(rs.has_cached_normal ? 1 : 0);
-  e.f64(rs.cached_normal);
-  e.u64(c.slab_pe.size());
-  for (int pe : c.slab_pe) e.i64(pe);
-  return e.take();
-}
-
-void ParallelSim::decode_checkpoint(const std::vector<std::uint8_t>& blob,
-                                    Checkpoint& c) const {
-  wire::Decoder d(blob);
-  std::uint64_t n = 0;
-  if (!d.f64(c.taken_at) || !d.u64(n) || n != patches_.size()) {
-    wire_state_error("checkpoint patch count mismatch");
-  }
-  c.patches.resize(static_cast<std::size_t>(n));
-  for (PatchRt& pr : c.patches) {
-    std::uint64_t natoms = 0;
-    if (!d.count(natoms, 8)) wire_state_error("bad checkpoint patch");
-    pr.atoms.resize(static_cast<std::size_t>(natoms));
-    for (int& a : pr.atoms) {
-      std::int64_t v = 0;
-      if (!d.i64(v)) wire_state_error("bad checkpoint patch atoms");
-      a = static_cast<int>(v);
-    }
-    pr.pos.resize(static_cast<std::size_t>(natoms));
-    pr.vel.resize(static_cast<std::size_t>(natoms));
-    pr.frc.resize(static_cast<std::size_t>(natoms));
-    pr.mass.resize(static_cast<std::size_t>(natoms));
-    if (!decode_vec3s(d, pr.pos) || !decode_vec3s(d, pr.vel) ||
-        !decode_vec3s(d, pr.frc)) {
-      wire_state_error("bad checkpoint patch state");
-    }
-    for (double& m : pr.mass) {
-      if (!d.f64(m)) wire_state_error("bad checkpoint patch mass");
-    }
-    std::int64_t step = 0;
-    if (!d.i64(step)) wire_state_error("bad checkpoint patch step");
-    pr.step = static_cast<int>(step);
-  }
-  if (!d.u64(n) || n != atom_loc_.size()) {
-    wire_state_error("checkpoint atom count mismatch");
-  }
-  c.atom_loc.resize(static_cast<std::size_t>(n));
-  for (auto& [p, i] : c.atom_loc) {
-    std::int64_t pp = 0, ii = 0;
-    if (!d.i64(pp) || !d.i64(ii)) wire_state_error("bad checkpoint atom_loc");
-    p = static_cast<int>(pp);
-    i = static_cast<int>(ii);
-  }
-  if (!d.u64(n) || n != computes_.size()) {
-    wire_state_error("checkpoint compute count mismatch");
-  }
-  c.compute_deps.resize(static_cast<std::size_t>(n));
-  for (auto& deps : c.compute_deps) {
-    std::uint64_t nd = 0;
-    if (!d.count(nd, 8)) wire_state_error("bad checkpoint deps");
-    deps.resize(static_cast<std::size_t>(nd));
-    for (int& p : deps) {
-      std::int64_t v = 0;
-      if (!d.i64(v)) wire_state_error("bad checkpoint deps");
-      p = static_cast<int>(v);
-    }
-  }
-  auto read_ints = [&](std::vector<int>& out, const char* what) {
-    std::uint64_t m = 0;
-    if (!d.count(m, 8)) wire_state_error(what);
-    out.resize(static_cast<std::size_t>(m));
-    for (int& v : out) {
-      std::int64_t x = 0;
-      if (!d.i64(x)) wire_state_error(what);
-      v = static_cast<int>(x);
-    }
-  };
-  auto read_doubles = [&](std::vector<double>& out, const char* what) {
-    std::uint64_t m = 0;
-    if (!d.count(m, 8)) wire_state_error(what);
-    out.resize(static_cast<std::size_t>(m));
-    for (double& v : out) {
-      if (!d.f64(v)) wire_state_error(what);
-    }
-  };
-  read_ints(c.patch_home, "bad checkpoint patch_home");
-  read_ints(c.compute_pe, "bad checkpoint compute_pe");
-  if (c.patch_home.size() != patches_.size() ||
-      c.compute_pe.size() != computes_.size()) {
-    wire_state_error("checkpoint placement size mismatch");
-  }
-  read_doubles(c.reduction_totals, "bad checkpoint reduction totals");
-  std::uint64_t np = 0;
-  if (!d.count(np, 6 * 8)) wire_state_error("bad checkpoint potential");
-  c.potential_per_step.resize(static_cast<std::size_t>(np));
-  for (EnergyTerms& t : c.potential_per_step) {
-    if (!decode_terms(d, t)) wire_state_error("bad checkpoint potential");
-  }
-  read_doubles(c.step_completion, "bad checkpoint step completion");
-  read_doubles(c.step_last_advance, "bad checkpoint step last advance");
-  read_ints(c.steps_done_counter, "bad checkpoint step counters");
-  std::int64_t gs = 0;
-  if (!d.i64(gs)) wire_state_error("bad checkpoint global steps");
-  c.global_steps = static_cast<int>(gs);
-  Rng::State rs{};
-  for (std::uint64_t& s : rs.s) {
-    if (!d.u64(s)) wire_state_error("bad checkpoint rng");
-  }
-  std::uint8_t cached = 0;
-  if (!d.u64(rs.seed) || !d.u8(cached) || !d.f64(rs.cached_normal)) {
-    wire_state_error("bad checkpoint rng");
-  }
-  rs.has_cached_normal = cached != 0;
-  c.noise_rng.set_state(rs);
-  read_ints(c.slab_pe, "bad checkpoint slab_pe");
-  if (c.slab_pe.size() != slab_pe_.size()) {
-    wire_state_error("checkpoint slab count mismatch");
-  }
-  if (!d.done()) wire_state_error("trailing bytes in checkpoint");
-}
 
 void ParallelSim::evacuate_failed_pes(const std::vector<int>& dead) {
   std::vector<char> is_dead(static_cast<std::size_t>(opts_.num_pes), 0);

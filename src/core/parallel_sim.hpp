@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -139,6 +140,32 @@ struct ParallelOptions {
   bool debug_fold_arrival_order = false;
 };
 
+/// Why a state blob (checkpoint, export_state, worker state frame) was
+/// rejected. Every malformed blob maps to exactly one of these.
+enum class StateError {
+  kTruncated,        ///< fewer bytes than the fields (or a count) need
+  kTrailingBytes,    ///< bytes left over after the last field
+  kBadInt,           ///< an integer or flag outside its field's type range
+  kCountMismatch,    ///< a patch/compute/slab/atom count differs from the sim
+  kPeOutOfRange,     ///< a placement PE id outside [0, num_pes)
+  kDepOutOfRange,    ///< a compute dependency outside [0, patch count)
+  kAtomLocMismatch,  ///< atom_loc disagrees with the patches' atom lists
+};
+
+const char* state_error_name(StateError e);
+
+/// Thrown by ParallelSim::import_state for a rejected blob; what() is
+/// state_error_name(error()).
+class StateDecodeError : public std::runtime_error {
+ public:
+  explicit StateDecodeError(StateError e)
+      : std::runtime_error(state_error_name(e)), error_(e) {}
+  StateError error() const { return error_; }
+
+ private:
+  StateError error_;
+};
+
 /// The parallel NAMD reproduction: home patches, proxy patches and compute
 /// objects wired into the discrete-event machine, with measurement-based
 /// load balancing. One instance = one machine configuration (P processors of
@@ -251,8 +278,10 @@ class ParallelSim {
   /// fresh ParallelSim built from the same workload and options.
   std::vector<std::uint8_t> export_state() const;
   /// Adopts a blob produced by export_state() on a compatible ParallelSim
-  /// (same workload, same patch/compute structure — validated strictly) and
-  /// rebuilds the dataflow and reducer around the restored placement.
+  /// (same workload, same patch/compute structure) and rebuilds the
+  /// dataflow and reducer around the restored placement. The whole blob is
+  /// validated before any state changes: a malformed or incompatible blob
+  /// throws StateDecodeError and leaves this sim untouched.
   /// Unlike a fault restore, this counts no restart and charges no lost
   /// time: resuming from an imported checkpoint continues the run exactly
   /// where the exporting sim stopped, bitwise.
@@ -277,7 +306,6 @@ class ParallelSim {
   struct ProxyRt;
   struct ComputeRt;
   struct PmeSlabRt;
-  struct Checkpoint;
 
   void build_initial_placement();
   void rebuild_dataflow();
@@ -323,6 +351,10 @@ class ParallelSim {
   /// frozen mode, so frozen-mode benchmarks price PME realistically).
   double pme_phase_cost(int slab, int phase) const;
   int proxy_index(int patch, int pe) const;
+  /// Modeled size of a message carrying `n` items of `item_bytes` each.
+  std::size_t msg_bytes(std::size_t n, std::size_t item_bytes) const {
+    return static_cast<std::size_t>(opts_.msg_header_bytes) + n * item_bytes;
+  }
   /// Applies the machine's multiplicative task-time noise to a cost.
   double noisy(double cost);
   /// Routes through the reliable layer when enabled, else a raw send.
@@ -331,25 +363,30 @@ class ParallelSim {
   void attempt_cycle(int steps);
   void take_checkpoint();
   void restore_checkpoint();
-  /// Adopts a decoded checkpoint: state copy + reducer/dataflow rebuild
-  /// (evacuating failed PEs when there are any). Shared by the fault
-  /// restore path (which additionally books restart accounting) and
-  /// import_state (which must not).
-  void apply_checkpoint(const Checkpoint& c);
   /// True when a checkpoint exists to restore from (in memory for the DES
   /// backend, on disk for the process backend).
-  bool have_checkpoint() const { return ckpt_ != nullptr || ckpt_on_disk_; }
-  void snapshot_to(Checkpoint& c) const;
-  void restore_from(const Checkpoint& c);
-  std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& c) const;
-  /// Strict decode; any inconsistency with the current workload is a hard
-  /// error (aborts) — restoring a half-garbled checkpoint would corrupt
-  /// the run silently.
-  void decode_checkpoint(const std::vector<std::uint8_t>& blob, Checkpoint& c) const;
+  bool have_checkpoint() const { return !ckpt_.empty() || ckpt_on_disk_; }
+
+  // --- the state codec (sim_state.cpp) ---------------------------------
+  /// Names every checkpointed field once, in wire order. A writer encodes
+  /// them; a reader decodes, validates against this sim, and applies them
+  /// only once the whole blob has checked out.
+  template <class Io> void io_state(Io& io);
+  /// The worker state frame: what one worker's epoch mutated (owned patch
+  /// motion, owned compute/slab energy rows, the reduction tail). It has no
+  /// indices: supervisor and worker walk the same fixed ownership.
+  template <class Io> void io_worker_state(Io& io, int worker);
+  /// Validates `blob` whole, then applies it and returns its snapshot time.
+  /// Throws StateDecodeError, with this sim untouched, on a bad blob.
+  double decode_state(const std::vector<std::uint8_t>& blob);
+  /// After a decode: drops stale reliable-layer sends and rebuilds the
+  /// reducer and dataflow around the restored placement (evacuating failed
+  /// PEs when there are any). Shared by fault restore and import_state.
+  void adopt_restored_state();
   /// Process-backend wire plumbing: per-entry decoders for the messages
   /// that cross worker boundaries, plus the end-of-run state flush/merge.
   void setup_process_wire();
-  std::vector<std::uint8_t> flush_worker_state(int worker, int workers) const;
+  std::vector<std::uint8_t> flush_worker_state(int worker) const;
   void merge_worker_state(int worker, const std::vector<std::uint8_t>& blob);
   /// Re-homes a failed PE's patches and computes onto survivors and
   /// rebuilds the reducer and the dataflow. Records kEvacuation.
@@ -433,7 +470,7 @@ class ParallelSim {
 
   // Resilience state.
   std::unique_ptr<ReliableComm> reliable_;
-  std::unique_ptr<Checkpoint> ckpt_;
+  std::vector<std::uint8_t> ckpt_;  ///< DES: in-memory checkpoint blob
   bool ckpt_on_disk_ = false;  ///< process backend: checkpoint lives on disk
   std::vector<int> cycles_since_ckpt_;  // step counts of cycles to replay
   int checkpoints_taken_ = 0;

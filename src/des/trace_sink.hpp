@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace scalemd {
 
@@ -88,33 +90,29 @@ class TraceSink {
 /// Fans one stream of records out to several sinks.
 class MultiSink final : public TraceSink {
  public:
-  void add(TraceSink* sink) { sinks_[count_++] = sink; }
+  void add(TraceSink* sink) { sinks_.push_back(sink); }
 
   /// Removes a previously added sink (callers must remove sinks whose
   /// lifetime ends before the simulation's). No-op if absent.
   void remove(const TraceSink* sink) {
-    for (int i = 0; i < count_; ++i) {
-      if (sinks_[i] == sink) {
-        sinks_[i] = sinks_[count_ - 1];
-        --count_;
-        return;
-      }
-    }
+    const auto it = std::find(sinks_.begin(), sinks_.end(), sink);
+    if (it == sinks_.end()) return;
+    *it = sinks_.back();
+    sinks_.pop_back();
   }
 
   void on_task(const TaskRecord& r) override {
-    for (int i = 0; i < count_; ++i) sinks_[i]->on_task(r);
+    for (TraceSink* s : sinks_) s->on_task(r);
   }
   void on_message(const MsgRecord& r) override {
-    for (int i = 0; i < count_; ++i) sinks_[i]->on_message(r);
+    for (TraceSink* s : sinks_) s->on_message(r);
   }
   void on_fault(const FaultRecord& r) override {
-    for (int i = 0; i < count_; ++i) sinks_[i]->on_fault(r);
+    for (TraceSink* s : sinks_) s->on_fault(r);
   }
 
  private:
-  TraceSink* sinks_[8] = {};
-  int count_ = 0;
+  std::vector<TraceSink*> sinks_;
 };
 
 }  // namespace scalemd

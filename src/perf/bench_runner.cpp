@@ -106,10 +106,12 @@ BenchRecord& BenchRunner::time_batch(const std::string& name,
 }
 
 BenchRecord& BenchRunner::record_value(const std::string& name,
-                                       const std::string& metric, double value) {
+                                       const std::string& metric,
+                                       const std::string& unit, double value) {
   BenchRecord rec;
   rec.name = name;
   rec.metric = metric;
+  rec.unit = unit;
   rec.deterministic = true;
   rec.samples = {value};
   rec.finalize();

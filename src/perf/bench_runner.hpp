@@ -67,9 +67,10 @@ class BenchRunner {
   BenchRecord& time_batch(const std::string& name, const std::string& metric,
                           int iters_per_rep, const std::function<void()>& fn);
 
-  /// Records one exactly-reproducible value (model output, virtual clock).
+  /// Records one exactly-reproducible value (model output, virtual clock)
+  /// in the given unit ("s", "ms", "ratio", "steps/s", ...).
   BenchRecord& record_value(const std::string& name, const std::string& metric,
-                            double value);
+                            const std::string& unit, double value);
 
   /// Records externally produced samples (already in seconds or the stated
   /// metric's unit).

@@ -43,7 +43,7 @@ void append_scaling_records(BenchReport& report, const std::string& prefix,
   for (const ScalingRow& r : rows) {
     runner
         .record_value(prefix + "/pes=" + std::to_string(r.pes),
-                      "virtual_seconds_per_step", r.seconds_per_step)
+                      "virtual_seconds_per_step", "s", r.seconds_per_step)
         .param("pes", r.pes)
         .param("speedup", r.speedup)
         .param("gflops", r.gflops);
@@ -131,7 +131,7 @@ void smoke_runtime(BenchRunner& runner, const SuiteOptions& opts) {
     popts.num_pes = 8;
     ParallelSim sim(wl, popts);
     runner
-        .record_value("runtime/sim_step", "virtual_seconds_per_step",
+        .record_value("runtime/sim_step", "virtual_seconds_per_step", "s",
                       sim.run_benchmark(2, 3))
         .param("pes", 8)
         .param("atoms", mol.atom_count());
@@ -213,7 +213,7 @@ void smoke_serve(BenchRunner& runner) {
       .param("workers", 2)
       .param("jobs_per_hour", jobs_per_hour)
       .param("steps_per_sec", steps_per_sec);
-  runner.record_value("serve/cache_hit_rate", "ratio", hit_rate);
+  runner.record_value("serve/cache_hit_rate", "ratio", "ratio", hit_rate);
 }
 
 }  // namespace

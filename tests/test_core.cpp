@@ -312,6 +312,30 @@ TEST_F(CoreFixture, StepTimingAccessorsClampOutOfRangeArguments) {
   EXPECT_EQ(sim.step_completion_at(-1), 0.0);
 }
 
+// attach_sink is public and the sim already holds its load-database sink:
+// nine more must all fit (MultiSink once had eight fixed slots) and each
+// must see the whole record stream.
+TEST_F(CoreFixture, NineAttachedSinksEachSeeEveryRecord) {
+  struct CountingSink : TraceSink {
+    std::uint64_t tasks = 0, messages = 0;
+    void on_task(const TaskRecord&) override { ++tasks; }
+    void on_message(const MsgRecord&) override { ++messages; }
+  };
+  ParallelOptions opts;
+  opts.num_pes = 4;
+  ParallelSim sim(*workload_, opts);
+  std::vector<CountingSink> sinks(9);
+  for (CountingSink& s : sinks) sim.attach_sink(&s);
+  sim.run_cycle(2);
+  EXPECT_EQ(sinks[0].tasks, sim.backend().tasks_executed());
+  EXPECT_GT(sinks[0].messages, 0u);
+  for (const CountingSink& s : sinks) {
+    EXPECT_EQ(s.tasks, sinks[0].tasks);
+    EXPECT_EQ(s.messages, sinks[0].messages);
+  }
+  for (const CountingSink& s : sinks) sim.detach_sink(&s);
+}
+
 TEST(ComputePlanTest, SplittingReducesMaxGrainEstimate) {
   Molecule mol = make_water_box({30, 30, 30}, 3);
   mol.suggested_patch_size = 10.0;

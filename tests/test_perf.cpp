@@ -119,7 +119,7 @@ TEST(BenchRunnerTest, TimeCollectsRequestedReps) {
 TEST(BenchRunnerTest, RecordValueIsDeterministicSingleSample) {
   BenchRunner runner;
   const BenchRecord& rec =
-      runner.record_value("v", "virtual_seconds", 1.25).param("pes", 8);
+      runner.record_value("v", "virtual_seconds", "s", 1.25).param("pes", 8);
   EXPECT_TRUE(rec.deterministic);
   EXPECT_DOUBLE_EQ(rec.median, 1.25);
   EXPECT_DOUBLE_EQ(rec.mad, 0.0);
@@ -155,7 +155,7 @@ TEST(BenchRecordTest, JsonRoundTripRederivesStats) {
 TEST(BenchReportTest, SaveLoadRoundTrip) {
   BenchReport report = make_report("unit");
   BenchRunner runner;
-  runner.record_value("a/x", "s", 1.0);
+  runner.record_value("a/x", "s", "s", 1.0);
   runner.record_samples("a/y", "s", {0.2, 0.1, 0.3});
   report.benchmarks = runner.take_records();
 
@@ -183,12 +183,12 @@ TEST(BenchReportTest, RejectsWrongMagicAndNewerVersion) {
 TEST(BenchReportTest, MergeAppendsRecordsKeepsReceiverIdentity) {
   BenchReport a = make_report("smoke");
   BenchRunner ra;
-  ra.record_value("a", "s", 1.0);
+  ra.record_value("a", "s", "s", 1.0);
   a.benchmarks = ra.take_records();
 
   BenchReport b = make_report("paper");
   BenchRunner rb;
-  rb.record_value("b", "s", 2.0);
+  rb.record_value("b", "s", "s", 2.0);
   b.benchmarks = rb.take_records();
 
   a.merge(std::move(b));
@@ -249,7 +249,7 @@ TEST(BenchSchemaTest, EmittedReportsStayFieldCompatibleWithV1) {
   BenchReport report = make_report("schema-check");
   BenchRunner runner({.reps = 2, .warmup = 0});
   runner.time("w", "seconds_per_eval", [] {}).param("atoms", 1).label("kernel", "k");
-  runner.record_value("d", "virtual_seconds_per_step", 1.0).param("pes", 1);
+  runner.record_value("d", "virtual_seconds_per_step", "s", 1.0).param("pes", 1);
   report.benchmarks = runner.take_records();
   const JsonValue emitted = report.to_json();
 
@@ -370,11 +370,16 @@ TEST(SuiteTest, SmokeSuiteProducesSchemaValidSelfConsistentReport) {
   EXPECT_NE(report.find("forces/scalar"), nullptr);
   EXPECT_NE(report.find("runtime/sim_step"), nullptr);
   EXPECT_TRUE(report.find("runtime/sim_step")->deterministic);
+  // record_value carries an explicit unit: a hit rate is a ratio, not s.
+  EXPECT_EQ(report.find("runtime/sim_step")->unit, "s");
+  ASSERT_NE(report.find("serve/cache_hit_rate"), nullptr);
+  EXPECT_EQ(report.find("serve/cache_hit_rate")->unit, "ratio");
 
   // Round-trips through the serialized form.
   const BenchReport back = BenchReport::from_json(
       JsonValue::parse(report.to_json().dump()));
   EXPECT_EQ(back.benchmarks.size(), report.benchmarks.size());
+  EXPECT_EQ(back.find("serve/cache_hit_rate")->unit, "ratio");
 
   // The gate on an identical run passes...
   EXPECT_FALSE(compare_reports(report, back).failed);

@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
 
     perf::BenchRunner runner;
     for (const JobResult& r : report.results) {
-      runner.record_value("serve/job/" + r.name, "steps",
+      runner.record_value("serve/job/" + r.name, "steps", "steps",
                           static_cast<double>(r.steps))
           .param("priority", r.priority)
           .param("complete", r.complete ? 1 : 0)
@@ -160,13 +160,13 @@ int main(int argc, char** argv) {
           .param("cache_hit", r.cache_hit ? 1 : 0)
           .param("completion_seq", r.completion_seq);
     }
-    runner.record_value("serve/summary/jobs_per_hour", "jobs/hour",
+    runner.record_value("serve/summary/jobs_per_hour", "jobs/hour", "jobs/hour",
                         jobs_per_hour);
-    runner.record_value("serve/summary/steps_per_sec", "steps/s",
+    runner.record_value("serve/summary/steps_per_sec", "steps/s", "steps/s",
                         steps_per_sec);
-    runner.record_value("serve/summary/cache_hit_rate", "ratio", hit_rate);
+    runner.record_value("serve/summary/cache_hit_rate", "ratio", "ratio", hit_rate);
     runner
-        .record_value("serve/summary/batch_seconds", "seconds",
+        .record_value("serve/summary/batch_seconds", "seconds", "s",
                       report.wall_seconds)
         .param("jobs", static_cast<double>(report.results.size()))
         .param("workers", sopts.workers)
