@@ -244,7 +244,7 @@ void ParallelSim::rebuild_reducer() {
         reduction_totals_[static_cast<std::size_t>(round)] = total;
       });
   if (reliable_) reducer_->set_reliable(reliable_.get());
-  if (proc_ != nullptr) reducer_->set_wire(true);
+  reducer_->expect_rounds(step_base_, step_base_ + cycle_target_);
 }
 
 void ParallelSim::rsend(ExecContext& ctx, int dest, TaskMsg msg) {
@@ -344,25 +344,9 @@ void ParallelSim::publish_coords(ExecContext& ctx, int patch) {
   }
   multicast(
       ctx, remote, bytes, opts_.optimized_multicast,
-      [this, patch, home, &pr](int pe) {
-        TaskMsg msg;
-        msg.entry = e_coords_;
+      [this, &ctx, patch](int pe) {
+        TaskMsg msg = carry(ctx, pe, e_coords_, CoordsMsg{patch});
         msg.priority = -1;
-        // Proxies in another worker process cannot read the home replica;
-        // ship the step index and the coordinates themselves.
-        if (proc_ != nullptr && proc_->owner_of(pe) != proc_->owner_of(home)) {
-          msg.has_wire = true;
-          msg.wire.ints = {patch, pr.step};
-          append_reals(msg.wire.reals, pr.pos);
-        }
-        msg.fn = [this, patch, pe](ExecContext& c) {
-          c.charge_pack(
-              static_cast<double>(msg_bytes(
-                  patches_[static_cast<std::size_t>(patch)].atoms.size(),
-                  opts_.bytes_per_atom_coord)) *
-              c.machine().unpack_byte_cost);
-          on_recv_coords(c, patch, pe);
-        };
         return msg;
       },
       reliable_.get());
@@ -377,6 +361,14 @@ void ParallelSim::publish_coords(ExecContext& ctx, int patch) {
   if (pr.contrib_expected == 0) {
     on_contribution(ctx, patch, -1);
   }
+}
+
+void ParallelSim::recv(ExecContext& ctx, CoordsMsg& m) {
+  ctx.charge_pack(
+      static_cast<double>(msg_bytes(patches_[static_cast<std::size_t>(m.patch)].atoms.size(),
+                                    opts_.bytes_per_atom_coord)) *
+      ctx.machine().unpack_byte_cost);
+  on_recv_coords(ctx, m.patch, ctx.pe());
 }
 
 void ParallelSim::on_recv_coords(ExecContext& ctx, int patch, int pe) {
@@ -565,28 +557,20 @@ void ParallelSim::complete_patch_on_pe(ExecContext& ctx, int patch, int pe) {
   const std::size_t bytes =
       msg_bytes(patches_[static_cast<std::size_t>(patch)].atoms.size(),
                 opts_.bytes_per_atom_force);
-  TaskMsg msg;
-  msg.entry = e_forces_;
+  TaskMsg msg = carry(ctx, home, e_forces_, ForcesMsg{patch, pxy});
   msg.priority = -2;
   msg.bytes = bytes;
-  // Crossing a worker boundary: the home process cannot read this worker's
-  // scratch slots, so ship every slot of this proxy (flattened in slot
-  // order; advance() still folds them in canonical compute-id order).
-  if (proc_ != nullptr && proc_->owner_of(pe) != proc_->owner_of(home)) {
-    const ProxyRt& proxy = proxies_[static_cast<std::size_t>(pxy)];
-    msg.has_wire = true;
-    msg.wire.ints = {patch, pxy};
-    msg.wire.reals.reserve(proxy.scratch.size() * 3 *
-                           patches_[static_cast<std::size_t>(patch)].pos.size());
-    for (const auto& s : proxy.scratch) append_reals(msg.wire.reals, s);
-  }
-  msg.fn = [this, patch, pxy, bytes](ExecContext& c) {
-    c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
-    on_contribution(c, patch, pxy);
-  };
   // The sender also pays to pack the outgoing force message.
   ctx.charge_pack(static_cast<double>(bytes) * ctx.machine().pack_byte_cost);
   rsend(ctx, home, std::move(msg));
+}
+
+void ParallelSim::recv(ExecContext& ctx, ForcesMsg& m) {
+  const std::size_t bytes =
+      msg_bytes(patches_[static_cast<std::size_t>(m.patch)].atoms.size(),
+                opts_.bytes_per_atom_force);
+  ctx.charge_pack(static_cast<double>(bytes) * ctx.machine().unpack_byte_cost);
+  on_contribution(ctx, m.patch, m.proxy);
 }
 
 void ParallelSim::on_contribution(ExecContext& ctx, int patch, int from_proxy) {
@@ -773,24 +757,13 @@ void ParallelSim::publish_pme_atoms(ExecContext& ctx, int patch) {
       static_cast<std::uint64_t>(wl_->plan.migratable_count()) + 1;
   for (int s = 0; s < pme_plan_->slabs(); ++s) {
     const int pe = slab_pe_[static_cast<std::size_t>(s)];
-    TaskMsg msg;
-    msg.entry = e_pme_atoms_;
+    // The slab copies the positions from the patch at handler time, which
+    // is safe because the patch cannot advance past this step until the
+    // slab's force share comes back.
+    TaskMsg msg = carry(ctx, pe, e_pme_atoms_, PmeAtomsMsg{s, patch, step});
     msg.priority = -1;
     msg.bytes = bytes;
     msg.object = obj_base + static_cast<std::uint64_t>(s);
-    // A slab in another worker process cannot read the home replica; ship
-    // the positions themselves. In-process slabs copy from the replica at
-    // handler time, which is safe because the patch cannot advance past
-    // this step until the slab's force share comes back.
-    if (proc_ != nullptr && proc_->owner_of(pe) != proc_->owner_of(home)) {
-      msg.has_wire = true;
-      msg.wire.ints = {s, patch, step};
-      append_reals(msg.wire.reals, pr.pos);
-    }
-    msg.fn = [this, s, patch, step, bytes](ExecContext& c) {
-      c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
-      on_pme_atoms(c, s, patch, step, nullptr);
-    };
     if (pe != home) {
       ctx.charge_pack(static_cast<double>(bytes) * ctx.machine().pack_byte_cost);
     }
@@ -798,23 +771,17 @@ void ParallelSim::publish_pme_atoms(ExecContext& ctx, int patch) {
   }
 }
 
-void ParallelSim::on_pme_atoms(ExecContext& ctx, int slab, int patch, int step,
-                               const std::vector<double>* wire_pos) {
-  PmeSlabRt& rt = pme_slabs_[static_cast<std::size_t>(slab)];
-  assert(step == rt.step && "PME deposit for a round the slab is not in");
-  (void)step;
-  if (opts_.numeric) {
-    std::vector<Vec3>& buf = rt.patch_pos[static_cast<std::size_t>(patch)];
-    if (wire_pos != nullptr) {
-      buf.resize(wire_pos->size() / 3);
-      read_reals(*wire_pos, 0, buf);
-    } else {
-      buf = patches_[static_cast<std::size_t>(patch)].pos;
-    }
-  }
+void ParallelSim::recv(ExecContext& ctx, PmeAtomsMsg& m) {
+  const PatchRt& pr = patches_[static_cast<std::size_t>(m.patch)];
+  ctx.charge_pack(
+      static_cast<double>(msg_bytes(pr.atoms.size(), opts_.bytes_per_atom_coord)) *
+      ctx.machine().unpack_byte_cost);
+  PmeSlabRt& rt = pme_slabs_[static_cast<std::size_t>(m.slab)];
+  assert(m.step == rt.step && "PME deposit for a round the slab is not in");
+  if (opts_.numeric) rt.patch_pos[static_cast<std::size_t>(m.patch)] = pr.pos;
   if (--rt.atoms_pending > 0) return;
   rt.atoms_pending = static_cast<int>(patches_.size());
-  pme_spread_and_transpose(ctx, slab);
+  pme_spread_and_transpose(ctx, m.slab);
 }
 
 void ParallelSim::pme_spread_and_transpose(ExecContext& ctx, int slab) {
@@ -840,25 +807,13 @@ void ParallelSim::pme_spread_and_transpose(ExecContext& ctx, int slab) {
     const int pe = slab_pe_[static_cast<std::size_t>(dst)];
     const std::size_t bytes =
         msg_bytes(pme_plan_->block_doubles(slab, dst), sizeof(double));
-    TaskMsg msg;
-    msg.entry = e_pme_tr_fwd_;
+    std::vector<double> block;
+    if (opts_.numeric) block = pme_plan_->extract_fwd(slab, dst, rt.planes);
+    TaskMsg msg =
+        carry(ctx, pe, e_pme_tr_fwd_, PmeBlockMsg<true>{dst, slab, std::move(block)});
     msg.priority = -1;
     msg.bytes = bytes;
     msg.object = obj_base + static_cast<std::uint64_t>(dst);
-    std::vector<double> block;
-    if (opts_.numeric) block = pme_plan_->extract_fwd(slab, dst, rt.planes);
-    if (proc_ != nullptr &&
-        proc_->owner_of(pe) !=
-            proc_->owner_of(slab_pe_[static_cast<std::size_t>(slab)])) {
-      msg.has_wire = true;
-      msg.wire.ints = {dst, slab};
-      msg.wire.reals = block;
-    }
-    msg.fn = [this, dst, slab, bytes,
-              block = std::move(block)](ExecContext& c) {
-      c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
-      on_pme_fwd(c, dst, slab, block);
-    };
     if (pe != ctx.pe()) {
       ctx.charge_pack(static_cast<double>(bytes) * ctx.machine().pack_byte_cost);
     }
@@ -866,14 +821,30 @@ void ParallelSim::pme_spread_and_transpose(ExecContext& ctx, int slab) {
   }
 }
 
-void ParallelSim::on_pme_fwd(ExecContext& ctx, int slab, int src,
-                             const std::vector<double>& block) {
-  PmeSlabRt& rt = pme_slabs_[static_cast<std::size_t>(slab)];
-  if (opts_.numeric) pme_plan_->insert_fwd(src, slab, block, rt.columns);
-  if (--rt.fwd_pending > 0) return;
-  rt.fwd_pending = pme_plan_->slabs();
-  pme_convolve_and_return(ctx, slab);
+template <bool kForward>
+void ParallelSim::recv(ExecContext& ctx, PmeBlockMsg<kForward>& m) {
+  // The backward block dst <- src covers the same grid region as the
+  // forward block src -> dst, so it has the same size.
+  const std::size_t doubles = kForward ? pme_plan_->block_doubles(m.src, m.dst)
+                                       : pme_plan_->block_doubles(m.dst, m.src);
+  ctx.charge_pack(static_cast<double>(msg_bytes(doubles, sizeof(double))) *
+                  ctx.machine().unpack_byte_cost);
+  PmeSlabRt& rt = pme_slabs_[static_cast<std::size_t>(m.dst)];
+  if constexpr (kForward) {
+    if (opts_.numeric) pme_plan_->insert_fwd(m.src, m.dst, m.block, rt.columns);
+    if (--rt.fwd_pending > 0) return;
+    rt.fwd_pending = pme_plan_->slabs();
+    pme_convolve_and_return(ctx, m.dst);
+  } else {
+    if (opts_.numeric) pme_plan_->insert_bwd(m.src, m.dst, m.block, rt.planes);
+    if (--rt.bwd_pending > 0) return;
+    rt.bwd_pending = pme_plan_->slabs();
+    pme_gather_and_send(ctx, m.dst);
+  }
 }
+// sim_state.cpp's decoders run these too.
+template void ParallelSim::recv(ExecContext&, PmeBlockMsg<true>&);
+template void ParallelSim::recv(ExecContext&, PmeBlockMsg<false>&);
 
 void ParallelSim::pme_convolve_and_return(ExecContext& ctx, int slab) {
   PmeSlabRt& rt = pme_slabs_[static_cast<std::size_t>(slab)];
@@ -883,43 +854,20 @@ void ParallelSim::pme_convolve_and_return(ExecContext& ctx, int slab) {
       static_cast<std::uint64_t>(wl_->plan.migratable_count()) + 1;
   for (int dst = 0; dst < pme_plan_->slabs(); ++dst) {
     const int pe = slab_pe_[static_cast<std::size_t>(dst)];
-    // The backward block dst <- slab covers the same grid region as the
-    // forward block dst -> slab, so it has the same size.
     const std::size_t bytes =
         msg_bytes(pme_plan_->block_doubles(dst, slab), sizeof(double));
-    TaskMsg msg;
-    msg.entry = e_pme_tr_bwd_;
+    std::vector<double> block;
+    if (opts_.numeric) block = pme_plan_->extract_bwd(slab, dst, rt.columns);
+    TaskMsg msg =
+        carry(ctx, pe, e_pme_tr_bwd_, PmeBlockMsg<false>{dst, slab, std::move(block)});
     msg.priority = -1;
     msg.bytes = bytes;
     msg.object = obj_base + static_cast<std::uint64_t>(dst);
-    std::vector<double> block;
-    if (opts_.numeric) block = pme_plan_->extract_bwd(slab, dst, rt.columns);
-    if (proc_ != nullptr &&
-        proc_->owner_of(pe) !=
-            proc_->owner_of(slab_pe_[static_cast<std::size_t>(slab)])) {
-      msg.has_wire = true;
-      msg.wire.ints = {dst, slab};
-      msg.wire.reals = block;
-    }
-    msg.fn = [this, dst, slab, bytes,
-              block = std::move(block)](ExecContext& c) {
-      c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
-      on_pme_bwd(c, dst, slab, block);
-    };
     if (pe != ctx.pe()) {
       ctx.charge_pack(static_cast<double>(bytes) * ctx.machine().pack_byte_cost);
     }
     rsend(ctx, pe, std::move(msg));
   }
-}
-
-void ParallelSim::on_pme_bwd(ExecContext& ctx, int slab, int src,
-                             const std::vector<double>& block) {
-  PmeSlabRt& rt = pme_slabs_[static_cast<std::size_t>(slab)];
-  if (opts_.numeric) pme_plan_->insert_bwd(src, slab, block, rt.planes);
-  if (--rt.bwd_pending > 0) return;
-  rt.bwd_pending = pme_plan_->slabs();
-  pme_gather_and_send(ctx, slab);
 }
 
 void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
@@ -944,7 +892,6 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
                      static_cast<std::size_t>(cycle_target_ + 1) +
                  static_cast<std::size_t>(rt.step)] = e;
   }
-  const int step = rt.step;
   for (std::size_t p = 0; p < patches_.size(); ++p) {
     const int patch = static_cast<int>(p);
     const int home = patch_home_[p];
@@ -957,22 +904,10 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
         frc.push_back(all_frc[static_cast<std::size_t>(a)]);
       }
     }
-    TaskMsg msg;
-    msg.entry = e_pme_force_;
+    TaskMsg msg =
+        carry(ctx, home, e_pme_force_, PmeForceMsg{patch, slab, std::move(frc)});
     msg.priority = -2;
     msg.bytes = bytes;
-    if (proc_ != nullptr &&
-        proc_->owner_of(home) !=
-            proc_->owner_of(slab_pe_[static_cast<std::size_t>(slab)])) {
-      msg.has_wire = true;
-      msg.wire.ints = {patch, slab, step};
-      append_reals(msg.wire.reals, frc);
-    }
-    msg.fn = [this, patch, slab, bytes,
-              frc = std::move(frc)](ExecContext& c) mutable {
-      c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
-      on_pme_force(c, patch, slab, std::move(frc));
-    };
     if (home != ctx.pe()) {
       ctx.charge_pack(static_cast<double>(bytes) * ctx.machine().pack_byte_cost);
     }
@@ -986,14 +921,16 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
   rt.recip_energy = 0.0;
 }
 
-void ParallelSim::on_pme_force(ExecContext& ctx, int patch, int slab,
-                               std::vector<Vec3> frc) {
+void ParallelSim::recv(ExecContext& ctx, PmeForceMsg& m) {
+  PatchRt& pr = patches_[static_cast<std::size_t>(m.patch)];
+  ctx.charge_pack(
+      static_cast<double>(msg_bytes(pr.atoms.size(), opts_.bytes_per_atom_force)) *
+      ctx.machine().unpack_byte_cost);
   if (opts_.numeric) {
-    PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
-    assert(frc.size() == pr.atoms.size());
-    pr.pme_frc[static_cast<std::size_t>(slab)] = std::move(frc);
+    assert(m.frc.size() == pr.atoms.size());
+    pr.pme_frc[static_cast<std::size_t>(m.slab)] = std::move(m.frc);
   }
-  on_contribution(ctx, patch, -1);
+  on_contribution(ctx, m.patch, -1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1007,6 +944,7 @@ void ParallelSim::attempt_cycle(int steps) {
   step_completion_.resize(static_cast<std::size_t>(step_base_ + steps + 1), 0.0);
   step_last_advance_.resize(static_cast<std::size_t>(step_base_ + steps + 1), 0.0);
   steps_done_counter_.resize(static_cast<std::size_t>(step_base_ + steps + 1), 0);
+  reducer_->expect_rounds(step_base_, step_base_ + steps);
   if (opts_.numeric) {
     // One slot per (compute, local step); a cycle of T steps runs T + 1
     // force rounds (bootstrap step 0 through the closing half-kick at T).
@@ -1230,25 +1168,9 @@ void ParallelSim::evacuate_failed_pes(const std::vector<int>& dead) {
 
   // 3. Migratable computes go through the LB evacuation strategy (greedy
   //    proxy-aware placement + refine over the survivors).
-  LbProblem problem;
-  problem.num_pes = opts_.num_pes;
-  problem.patch_home = patch_home_;
-  problem.background = db_->background();
   std::vector<int> object_compute;
-  LbAssignment start;
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    if (wl_->plan.migratable_index()[i] < 0) continue;
-    LbObject o;
-    o.load = db_->object_load(
-        static_cast<std::uint32_t>(wl_->plan.migratable_index()[i]));
-    o.current_pe = compute_pe_[i];
-    o.patch_a = computes_[i].deps.empty() ? -1 : computes_[i].deps[0];
-    o.patch_b = computes_[i].deps.size() > 1 ? computes_[i].deps[1] : -1;
-    problem.objects.push_back(o);
-    start.push_back(compute_pe_[i]);
-    object_compute.push_back(static_cast<int>(i));
-  }
-  const LbAssignment map = evacuate_map(problem, start, dead);
+  const LbProblem problem = lb_problem(object_compute);
+  const LbAssignment map = evacuate_map(problem, identity_map(problem), dead);
   int moved = 0;
   for (std::size_t j = 0; j < map.size(); ++j) {
     const auto i = static_cast<std::size_t>(object_compute[j]);
@@ -1270,6 +1192,26 @@ void ParallelSim::evacuate_failed_pes(const std::vector<int>& dead) {
 // Load balancing
 // ---------------------------------------------------------------------------
 
+LbProblem ParallelSim::lb_problem(std::vector<int>& object_compute) const {
+  LbProblem problem;
+  problem.num_pes = opts_.num_pes;
+  problem.patch_home = patch_home_;
+  problem.background = db_->background();
+  object_compute.clear();
+  for (std::size_t i = 0; i < computes_.size(); ++i) {
+    const int mi = wl_->plan.migratable_index()[i];
+    if (mi < 0) continue;
+    LbObject o;
+    o.load = db_->object_load(static_cast<std::uint32_t>(mi));
+    o.current_pe = compute_pe_[i];
+    o.patch_a = computes_[i].deps.empty() ? -1 : computes_[i].deps[0];
+    o.patch_b = computes_[i].deps.size() > 1 ? computes_[i].deps[1] : -1;
+    problem.objects.push_back(o);
+    object_compute.push_back(static_cast<int>(i));
+  }
+  return problem;
+}
+
 void ParallelSim::load_balance(bool refine_only) {
   if (opts_.lb.kind == LbStrategyKind::kNone) {
     db_->reset();
@@ -1288,23 +1230,8 @@ void ParallelSim::load_balance(bool refine_only) {
   }
 
   // Build the strategy input from the measurement database.
-  LbProblem problem;
-  problem.num_pes = opts_.num_pes;
-  problem.patch_home = patch_home_;
-  problem.background = db_->background();
-  std::vector<int> object_compute;  // migratable index -> compute id
-  object_compute.reserve(static_cast<std::size_t>(wl_->plan.migratable_count()));
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    const int mi = wl_->plan.migratable_index()[i];
-    if (mi < 0) continue;
-    LbObject o;
-    o.load = db_->object_load(static_cast<std::uint32_t>(mi));
-    o.current_pe = compute_pe_[i];
-    o.patch_a = computes_[i].deps.empty() ? -1 : computes_[i].deps[0];
-    o.patch_b = computes_[i].deps.size() > 1 ? computes_[i].deps[1] : -1;
-    problem.objects.push_back(o);
-    object_compute.push_back(static_cast<int>(i));
-  }
+  std::vector<int> object_compute;
+  LbProblem problem = lb_problem(object_compute);
   // PME slabs are ordinary migratable objects (patch-less: every strategy
   // treats patch_a = -1 as "no communication affinity"), priced from the
   // same measurement database via their task records. Dedicated-ranks mode

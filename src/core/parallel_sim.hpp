@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -17,6 +16,8 @@
 #include "ff/nonbonded.hpp"
 #include "ff/nonbonded_tiled.hpp"
 #include "lb/database.hpp"
+#include "lb/problem.hpp"
+#include "rts/codec.hpp"
 #include "rts/process_backend.hpp"
 #include "rts/reduction.hpp"
 #include "rts/reliable.hpp"
@@ -138,32 +139,6 @@ struct ParallelOptions {
   /// this flag to prove the fuzzing harness still catches and shrinks it.
   /// Never set it anywhere else.
   bool debug_fold_arrival_order = false;
-};
-
-/// Why a state blob (checkpoint, export_state, worker state frame) was
-/// rejected. Every malformed blob maps to exactly one of these.
-enum class StateError {
-  kTruncated,        ///< fewer bytes than the fields (or a count) need
-  kTrailingBytes,    ///< bytes left over after the last field
-  kBadInt,           ///< an integer or flag outside its field's type range
-  kCountMismatch,    ///< a patch/compute/slab/atom count differs from the sim
-  kPeOutOfRange,     ///< a placement PE id outside [0, num_pes)
-  kDepOutOfRange,    ///< a compute dependency outside [0, patch count)
-  kAtomLocMismatch,  ///< atom_loc disagrees with the patches' atom lists
-};
-
-const char* state_error_name(StateError e);
-
-/// Thrown by ParallelSim::import_state for a rejected blob; what() is
-/// state_error_name(error()).
-class StateDecodeError : public std::runtime_error {
- public:
-  explicit StateDecodeError(StateError e)
-      : std::runtime_error(state_error_name(e)), error_(e) {}
-  StateError error() const { return error_; }
-
- private:
-  StateError error_;
 };
 
 /// The parallel NAMD reproduction: home patches, proxy patches and compute
@@ -306,6 +281,12 @@ class ParallelSim {
   struct ProxyRt;
   struct ComputeRt;
   struct PmeSlabRt;
+  // The runtime messages that can cross a worker (parallel_sim_rt.hpp).
+  struct CoordsMsg;
+  struct ForcesMsg;
+  struct PmeAtomsMsg;
+  template <bool kForward> struct PmeBlockMsg;
+  struct PmeForceMsg;
 
   void build_initial_placement();
   void rebuild_dataflow();
@@ -326,27 +307,9 @@ class ParallelSim {
   /// Patch-side: one atoms message per slab, sent alongside the coordinate
   /// multicast every force round.
   void publish_pme_atoms(ExecContext& ctx, int patch);
-  /// Slab phase 1 trigger: buffers the patch's positions (`wire_pos` when
-  /// the message crossed a worker boundary, else read from the replica);
-  /// when all patches deposited, spreads + 2D FFTs + sends forward blocks.
-  void on_pme_atoms(ExecContext& ctx, int slab, int patch, int step,
-                    const std::vector<double>* wire_pos);
   void pme_spread_and_transpose(ExecContext& ctx, int slab);
-  /// Slab phase 2: collects forward transpose blocks; when all S arrived,
-  /// z-FFT + influence convolution (energy partial) + inverse z-FFT, then
-  /// sends backward blocks.
-  void on_pme_fwd(ExecContext& ctx, int slab, int src,
-                  const std::vector<double>& block);
   void pme_convolve_and_return(ExecContext& ctx, int slab);
-  /// Slab phase 3: collects backward blocks; when all S arrived, inverse
-  /// 2D FFT + force gather + this slab's exclusion-correction and
-  /// self-energy shares, then one force message per patch.
-  void on_pme_bwd(ExecContext& ctx, int slab, int src,
-                  const std::vector<double>& block);
   void pme_gather_and_send(ExecContext& ctx, int slab);
-  /// Patch-side: adopts one slab's force share; counts as a contribution.
-  void on_pme_force(ExecContext& ctx, int patch, int slab,
-                    std::vector<Vec3> frc);
   /// Modeled DES cost of one slab task phase (identical in numeric and
   /// frozen mode, so frozen-mode benchmarks price PME realistically).
   double pme_phase_cost(int slab, int phase) const;
@@ -359,6 +322,32 @@ class ParallelSim {
   double noisy(double cost);
   /// Routes through the reliable layer when enabled, else a raw send.
   void rsend(ExecContext& ctx, int dest, TaskMsg msg);
+
+  // --- runtime messages (parallel_sim_rt.hpp) ----------------------------
+  /// Each message's field list: encodes it at a send that crosses a
+  /// worker, and decodes and validates it at the receiving worker.
+  template <class Io> void io_msg(Io& io, CoordsMsg& m);
+  template <class Io> void io_msg(Io& io, ForcesMsg& m);
+  template <class Io> void io_msg(Io& io, PmeAtomsMsg& m);
+  template <class Io, bool kForward> void io_msg(Io& io, PmeBlockMsg<kForward>& m);
+  template <class Io> void io_msg(Io& io, PmeForceMsg& m);
+  template <class Io> void io_msg(Io& io, ReductionMsg& m) { reducer_->io(io, m); }
+  /// Each message's handler: the in-process task and the decoded wire task
+  /// both run it. The PME ones drive the slab phases (see the .cpp).
+  void recv(ExecContext& ctx, CoordsMsg& m);
+  void recv(ExecContext& ctx, ForcesMsg& m);
+  void recv(ExecContext& ctx, PmeAtomsMsg& m);
+  template <bool kForward> void recv(ExecContext& ctx, PmeBlockMsg<kForward>& m);
+  void recv(ExecContext& ctx, PmeForceMsg& m);
+  void recv(ExecContext& ctx, ReductionMsg& m) { reducer_->recv(ctx, m); }
+  /// The task that delivers `m`: it runs recv(m).
+  template <class Msg> TaskFn deliver(Msg m);
+  /// A message for `dest` carrying `m`: it runs recv(m) wherever it lands,
+  /// and it also carries m's encoded fields when `dest` lies in another
+  /// worker. The one place a send tests for crossing a worker.
+  template <class Msg> TaskMsg carry(ExecContext& ctx, int dest, EntryId entry, Msg m);
+  /// Registers Msg's decoder for `entry` with the process backend.
+  template <class Msg> void register_msg(EntryId entry);
   /// One quiesced cycle attempt (the pre-resilience run_cycle body).
   void attempt_cycle(int steps);
   void take_checkpoint();
@@ -383,11 +372,15 @@ class ParallelSim {
   /// reducer and dataflow around the restored placement (evacuating failed
   /// PEs when there are any). Shared by fault restore and import_state.
   void adopt_restored_state();
-  /// Process-backend wire plumbing: per-entry decoders for the messages
-  /// that cross worker boundaries, plus the end-of-run state flush/merge.
+  /// Process-backend wire plumbing: the message decoders, plus the
+  /// end-of-run state flush/merge.
   void setup_process_wire();
   std::vector<std::uint8_t> flush_worker_state(int worker) const;
   void merge_worker_state(int worker, const std::vector<std::uint8_t>& blob);
+  /// The load balancer's input for the migratable computes, one object per
+  /// compute in compute order; `object_compute` maps each object back to its
+  /// compute id.
+  LbProblem lb_problem(std::vector<int>& object_compute) const;
   /// Re-homes a failed PE's patches and computes onto survivors and
   /// rebuilds the reducer and the dataflow. Records kEvacuation.
   void evacuate_failed_pes(const std::vector<int>& dead);

@@ -1,8 +1,9 @@
 #pragma once
 
-// Runtime object state of ParallelSim, shared by the translation units that
-// implement it (parallel_sim.cpp: dataflow, PME, LB, migration;
-// sim_state.cpp: the state codec and the process-backend wire plumbing).
+// Runtime object state and runtime messages of ParallelSim, shared by the
+// translation units that implement it (parallel_sim.cpp: dataflow, PME, LB,
+// migration; sim_state.cpp: the state codec and the process-backend wire
+// plumbing).
 
 #include <complex>
 #include <vector>
@@ -73,12 +74,113 @@ struct ParallelSim::PmeSlabRt {
   std::vector<std::complex<double>> planes, columns;
 };
 
-/// Vec3 <-> WirePayload::reals, flattened x, y, z per element (defined in
-/// sim_state.cpp with the decoders that use the second).
-void append_reals(std::vector<double>& reals, const std::vector<Vec3>& v);
-/// Fills the already-sized `v` from reals[off...]; returns the offset just
-/// past it.
-std::size_t read_reals(const std::vector<double>& reals, std::size_t off,
-                       std::vector<Vec3>& v);
+// ---------------------------------------------------------------------------
+// Runtime messages that can cross a worker
+// ---------------------------------------------------------------------------
+//
+// Each message kind is one struct, one field list (io_msg) and one handler
+// (recv); the reduction partial (ReductionMsg) is the Reducer's. carry()
+// builds the task for a send: it runs recv either way, and only when the
+// destination lies in another worker does it encode the struct through
+// io_msg. The receiving worker decodes the same io_msg, which validates
+// every id and length, and runs the same recv. Coordinates, forces and PME
+// atoms read patch state the receiver shares in-process, so their structs
+// hold only ids; on the wire their field lists carry that state itself,
+// from the sender's live patch or proxy into the receiver's copy, which
+// the receiving worker only reads once the sender has moved on (the
+// dataflow's per-step barriers).
+
+/// A patch's coordinates for one of its proxies. Wire: patch id, then the
+/// patch's step and positions.
+struct ParallelSim::CoordsMsg {
+  int patch = 0;
+};
+
+/// A proxy's force contribution to its home patch. Wire: patch and proxy
+/// ids, then every scratch slot of the proxy, in slot order.
+struct ParallelSim::ForcesMsg {
+  int patch = 0;
+  int proxy = 0;
+};
+
+/// A patch's positions deposited on a PME slab. Wire: slab, patch and step,
+/// then the patch's positions.
+struct ParallelSim::PmeAtomsMsg {
+  int slab = 0;
+  int patch = 0;
+  int step = 0;
+};
+
+/// A transpose block from slab `src` to slab `dst` (forward: planes to
+/// columns; backward: columns back to planes). Wire: dst, src, the block.
+template <bool kForward>
+struct ParallelSim::PmeBlockMsg {
+  int dst = 0;
+  int src = 0;
+  std::vector<double> block;
+};
+
+/// One slab's PME force share for a patch. Wire: patch, slab, the forces.
+struct ParallelSim::PmeForceMsg {
+  int patch = 0;
+  int slab = 0;
+  std::vector<Vec3> frc;
+};
+
+template <class Io>
+void ParallelSim::io_msg(Io& io, CoordsMsg& m) {
+  PatchRt& pr = patches_[io.index(m.patch, patches_.size())];
+  const int step = io.field(pr.step);
+  io.check(step >= 0 && step <= cycle_target_, StateError::kRoundOutOfRange);
+  io.array(pr.pos, pr.atoms.size());
+}
+
+template <class Io>
+void ParallelSim::io_msg(Io& io, ForcesMsg& m) {
+  const std::size_t natoms = patches_[io.index(m.patch, patches_.size())].atoms.size();
+  ProxyRt& proxy = proxies_[io.index(m.proxy, proxies_.size())];
+  io.check(proxy.patch == m.patch, StateError::kIndexOutOfRange);
+  for (std::vector<Vec3>& slot : proxy.scratch) io.array(slot, natoms);
+}
+
+template <class Io>
+void ParallelSim::io_msg(Io& io, PmeAtomsMsg& m) {
+  io.index(m.slab, pme_slabs_.size());
+  PatchRt& pr = patches_[io.index(m.patch, patches_.size())];
+  const int step = io.field(m.step);
+  io.check(step >= 0 && step <= cycle_target_, StateError::kRoundOutOfRange);
+  io.array(pr.pos, pr.atoms.size());
+}
+
+template <class Io, bool kForward>
+void ParallelSim::io_msg(Io& io, PmeBlockMsg<kForward>& m) {
+  const auto dst = static_cast<int>(io.index(m.dst, pme_slabs_.size()));
+  const auto src = static_cast<int>(io.index(m.src, pme_slabs_.size()));
+  io.array(m.block, kForward ? pme_plan_->block_doubles(src, dst)
+                             : pme_plan_->block_doubles(dst, src));
+}
+
+template <class Io>
+void ParallelSim::io_msg(Io& io, PmeForceMsg& m) {
+  const std::size_t natoms = patches_[io.index(m.patch, patches_.size())].atoms.size();
+  io.index(m.slab, pme_slabs_.size());
+  io.array(m.frc, natoms);
+}
+
+template <class Msg>
+TaskFn ParallelSim::deliver(Msg m) {
+  return [this, m = std::move(m)](ExecContext& c) mutable { recv(c, m); };
+}
+
+template <class Msg>
+TaskMsg ParallelSim::carry(ExecContext& ctx, int dest, EntryId entry, Msg m) {
+  TaskMsg msg;
+  msg.entry = entry;
+  if (ctx.crosses_worker(dest)) {
+    msg.wire = encode_fields([&](StateWriter& w) { io_msg(w, m); });
+  }
+  msg.fn = deliver(std::move(m));
+  return msg;
+}
 
 }  // namespace scalemd

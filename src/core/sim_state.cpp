@@ -5,86 +5,33 @@
 // export_state; StateReader drives it over wire::Decoder for restore and
 // import_state, validating the whole blob before it applies anything. The
 // worker state frame (io_worker_state) uses the same primitives without
-// indices. EXPERIMENTS.md "Wire format" documents both frames.
+// indices, and the runtime messages register their field lists
+// (parallel_sim_rt.hpp) as the process backend's decoders. EXPERIMENTS.md
+// "Wire format" documents every frame.
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <optional>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "core/parallel_sim.hpp"
 #include "core/parallel_sim_rt.hpp"
+#include "rts/codec.hpp"
 #include "rts/wire.hpp"
 
 namespace scalemd {
 
-const char* state_error_name(StateError e) {
-  switch (e) {
-    case StateError::kTruncated:
-      return "truncated";
-    case StateError::kTrailingBytes:
-      return "trailing-bytes";
-    case StateError::kBadInt:
-      return "bad-int";
-    case StateError::kCountMismatch:
-      return "count-mismatch";
-    case StateError::kPeOutOfRange:
-      return "pe-out-of-range";
-    case StateError::kDepOutOfRange:
-      return "dep-out-of-range";
-    case StateError::kAtomLocMismatch:
-      return "atom-loc-mismatch";
-  }
-  return "unknown";
-}
-
-namespace {
-
-[[noreturn]] void wire_state_error(const char* what) {
-  std::fprintf(stderr, "[scalemd] process wire: %s\n", what);
-  std::abort();
-}
-
-/// Wire bytes of one value of each list element type.
-template <class T>
-constexpr std::size_t kWireSize = 8;  // int (as i64), double, u64
 template <>
-constexpr std::size_t kWireSize<Vec3> = 3 * 8;
-template <>
-constexpr std::size_t kWireSize<EnergyTerms> = 6 * 8;
-template <>
-constexpr std::size_t kWireSize<std::pair<int, int>> = 2 * 8;
+inline constexpr std::size_t kWireSize<EnergyTerms> = 6 * 8;
 
-// Values as wire primitives (f64, i32 as i64, u64, flag as u8), one
-// decomposition for both directions.
-template <class Io>
-void io_value(Io& io, double& v) { io.f64(v); }
-template <class Io>
-void io_value(Io& io, int& v) { io.i32(v); }
-template <class Io>
-void io_value(Io& io, std::uint64_t& v) { io.u64(v); }
-template <class Io>
-void io_value(Io& io, Vec3& v) {
-  io.f64(v.x);
-  io.f64(v.y);
-  io.f64(v.z);
-}
 template <class Io>
 void io_value(Io& io, EnergyTerms& t) {
   for (double* x : {&t.lj, &t.elec, &t.bond, &t.angle, &t.dihedral, &t.improper}) {
     io.f64(*x);
   }
-}
-template <class Io>
-void io_value(Io& io, std::pair<int, int>& p) {
-  io.i32(p.first);
-  io.i32(p.second);
 }
 template <class Io>
 void io_value(Io& io, Rng& r) {
@@ -96,139 +43,7 @@ void io_value(Io& io, Rng& r) {
   if constexpr (Io::kReading) r.set_state(st);
 }
 
-/// Encodes the fields a state visitor names. Accessors return the live
-/// value, so a visitor reads counts and ids the same way in both directions.
-class StateWriter {
- public:
-  static constexpr bool kReading = false;
-
-  explicit StateWriter(wire::Encoder& e) : e_(e) {}
-
-  template <class T>
-  const T& field(T& v) {
-    io_value(*this, v);
-    return v;
-  }
-  /// A count-prefixed list. A reader requires the count to equal `expect`
-  /// when one is given.
-  template <class T>
-  const std::vector<T>& list(std::vector<T>& v,
-                             std::optional<std::size_t> /*expect*/ = {}) {
-    e_.u64(v.size());
-    return array(v, v.size());
-  }
-  /// `n` values with no count on the wire: both sides know the length.
-  template <class T>
-  const std::vector<T>& array(std::vector<T>& v, std::size_t n) {
-    assert(v.size() == n);
-    (void)n;
-    for (T& x : v) io_value(*this, x);
-    return v;
-  }
-  /// A count both sides know, on the wire so a reader can check it.
-  void count(std::size_t n) { e_.u64(n); }
-  void check(bool /*ok*/, StateError /*e*/) {}
-
-  void f64(double v) { e_.f64(v); }
-  void i32(int v) { e_.i64(v); }
-  void u64(std::uint64_t v) { e_.u64(v); }
-  void flag(bool v) { e_.u8(v ? 1 : 0); }
-
- private:
-  wire::Encoder& e_;
-};
-
-/// Decodes the fields a state visitor names; any defect throws one
-/// StateDecodeError. Staged (checkpoints, import_state): decoded values are
-/// held back and finish() moves them into the live fields only after the
-/// last field decoded and every check passed, so a rejected blob changes
-/// nothing. Unstaged (worker frames): values land in the live fields as
-/// they decode. Accessors return the decoded value; visitors must read
-/// counts and ids through them, since staging leaves the live field stale.
-class StateReader {
- public:
-  static constexpr bool kReading = true;
-
-  StateReader(const std::vector<std::uint8_t>& blob, bool staged)
-      : d_(blob), staged_(staged) {}
-
-  template <class T>
-  const T& field(T& live) {
-    T& v = target(live);
-    io_value(*this, v);
-    return v;
-  }
-  template <class T>
-  const std::vector<T>& list(std::vector<T>& live,
-                             std::optional<std::size_t> expect = {}) {
-    std::uint64_t n = 0;
-    check(d_.count(n, kWireSize<T>), StateError::kTruncated);
-    check(!expect || n == *expect, StateError::kCountMismatch);
-    return array(live, static_cast<std::size_t>(n));
-  }
-  template <class T>
-  const std::vector<T>& array(std::vector<T>& live, std::size_t n) {
-    check(d_.remaining() / kWireSize<T> >= n, StateError::kTruncated);
-    std::vector<T>& v = target(live);
-    v.resize(n);
-    for (T& x : v) io_value(*this, x);
-    return v;
-  }
-  void count(std::size_t n) {
-    std::uint64_t got = 0;
-    u64(got);
-    check(got == n, StateError::kCountMismatch);
-  }
-  void check(bool ok, StateError e) {
-    if (!ok) throw StateDecodeError(e);
-  }
-  /// Requires the blob consumed exactly, then applies the staged values.
-  void finish() {
-    check(d_.done(), StateError::kTrailingBytes);
-    for (const auto& s : staged_values_) s->apply();
-  }
-
-  void f64(double& v) { check(d_.f64(v), StateError::kTruncated); }
-  void u64(std::uint64_t& v) { check(d_.u64(v), StateError::kTruncated); }
-  void i32(int& v) {
-    std::int64_t x = 0;
-    check(d_.i64(x), StateError::kTruncated);
-    check(x >= INT_MIN && x <= INT_MAX, StateError::kBadInt);
-    v = static_cast<int>(x);
-  }
-  void flag(bool& v) {
-    std::uint8_t b = 0;
-    check(d_.u8(b), StateError::kTruncated);
-    check(b <= 1, StateError::kBadInt);
-    v = b != 0;
-  }
-
- private:
-  struct Staged {
-    virtual ~Staged() = default;
-    virtual void apply() = 0;
-  };
-  template <class T>
-  struct StagedValue final : Staged {
-    explicit StagedValue(T& l) : live(l) {}
-    void apply() override { live = std::move(value); }
-    T& live;
-    T value{};
-  };
-
-  template <class T>
-  T& target(T& live) {
-    if (!staged_) return live;
-    auto s = std::make_unique<StagedValue<T>>(live);
-    T& v = s->value;
-    staged_values_.push_back(std::move(s));
-    return v;
-  }
-
-  wire::Decoder d_;
-  bool staged_;
-  std::vector<std::unique_ptr<Staged>> staged_values_;
-};
+namespace {
 
 /// A patch's motion state: the part both frames carry.
 template <class Io, class Patch>
@@ -471,183 +286,28 @@ void ParallelSim::import_state(const std::vector<std::uint8_t>& blob) {
 // Process-backend wire plumbing
 // ---------------------------------------------------------------------------
 
-void append_reals(std::vector<double>& reals, const std::vector<Vec3>& v) {
-  reals.reserve(reals.size() + 3 * v.size());
-  for (const Vec3& x : v) {
-    reals.push_back(x.x);
-    reals.push_back(x.y);
-    reals.push_back(x.z);
-  }
-}
-
-std::size_t read_reals(const std::vector<double>& reals, std::size_t off,
-                       std::vector<Vec3>& v) {
-  for (Vec3& x : v) {
-    x = {reals[off], reals[off + 1], reals[off + 2]};
-    off += 3;
-  }
-  return off;
+template <class Msg>
+void ParallelSim::register_msg(EntryId entry) {
+  proc_->register_decoder(entry, [this](StateReader& in, StateWriter* echo) {
+    Msg m;
+    io_msg(in, m);
+    if (echo != nullptr) io_msg(*echo, m);
+    return deliver(std::move(m));
+  });
 }
 
 void ParallelSim::setup_process_wire() {
-  // Coordinates crossing a worker boundary: apply the shipped positions and
-  // step index to the receiving worker's patch replica, then run the normal
-  // receive path. ints = [patch, step], reals = positions.
-  proc_->register_decoder(e_coords_, [this](const WirePayload& w) -> TaskFn {
-    return [this, w](ExecContext& c) {
-      if (w.ints.size() != 2) wire_state_error("bad coords header");
-      const int patch = static_cast<int>(w.ints[0]);
-      if (patch < 0 || static_cast<std::size_t>(patch) >= patches_.size()) {
-        wire_state_error("coords patch out of range");
-      }
-      PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
-      if (w.reals.size() != pr.pos.size() * 3) {
-        wire_state_error("coords payload size mismatch");
-      }
-      pr.step = static_cast<int>(w.ints[1]);
-      read_reals(w.reals, 0, pr.pos);
-      c.charge_pack(
-          static_cast<double>(msg_bytes(pr.pos.size(), opts_.bytes_per_atom_coord)) *
-          c.machine().unpack_byte_cost);
-      on_recv_coords(c, patch, c.pe());
-    };
-  });
-
-  // Force contributions arriving at the home worker: copy every scratch
-  // slot of the contributing proxy into the local replica, then signal the
-  // contribution. ints = [patch, proxy index], reals = slots flattened.
-  proc_->register_decoder(e_forces_, [this](const WirePayload& w) -> TaskFn {
-    return [this, w](ExecContext& c) {
-      if (w.ints.size() != 2) wire_state_error("bad forces header");
-      const int patch = static_cast<int>(w.ints[0]);
-      const int pxy = static_cast<int>(w.ints[1]);
-      if (pxy < 0 || static_cast<std::size_t>(pxy) >= proxies_.size() ||
-          proxies_[static_cast<std::size_t>(pxy)].patch != patch) {
-        wire_state_error("forces proxy out of range");
-      }
-      ProxyRt& proxy = proxies_[static_cast<std::size_t>(pxy)];
-      std::size_t need = 0;
-      for (const auto& s : proxy.scratch) need += s.size() * 3;
-      if (w.reals.size() != need) {
-        wire_state_error("forces payload size mismatch");
-      }
-      std::size_t off = 0;
-      for (auto& s : proxy.scratch) off = read_reals(w.reals, off, s);
-      const std::size_t bytes =
-          msg_bytes(patches_[static_cast<std::size_t>(patch)].pos.size(),
-                    opts_.bytes_per_atom_force);
-      c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
-      on_contribution(c, patch, pxy);
-    };
-  });
-
-  // Reduction partial sums climbing the tree. ints = [parent rank, round,
-  // forwarded, n, ids...], reals = the n values (raw IEEE bits).
-  proc_->register_decoder(e_reduction_, [this](const WirePayload& w) -> TaskFn {
-    return [this, w](ExecContext& c) {
-      if (w.ints.size() < 4) wire_state_error("bad reduction header");
-      const int parent_rank = static_cast<int>(w.ints[0]);
-      const int round = static_cast<int>(w.ints[1]);
-      const int forwarded = static_cast<int>(w.ints[2]);
-      const std::size_t n = static_cast<std::size_t>(w.ints[3]);
-      if (w.ints.size() != 4 + n || w.reals.size() != n) {
-        wire_state_error("reduction payload size mismatch");
-      }
-      std::vector<std::pair<int, double>> parts;
-      parts.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        parts.push_back({static_cast<int>(w.ints[4 + i]), w.reals[i]});
-      }
-      c.charge(1e-6);  // combine cost (parity with the in-process closure)
-      reducer_->deliver(c, parent_rank, round, std::move(parts), forwarded);
-    };
-  });
-
-  // PME frames (full-electrostatics runs only; the entries are registered
-  // before this point whenever pme_plan_ exists, so registering the
-  // decoders unconditionally on pme_plan_ is safe).
+  // The messages that can cross a worker. The PME entries exist whenever
+  // pme_plan_ does.
+  register_msg<CoordsMsg>(e_coords_);
+  register_msg<ForcesMsg>(e_forces_);
+  register_msg<ReductionMsg>(e_reduction_);
   if (pme_plan_ != nullptr) {
-    // Atom deposit crossing a worker boundary: the slab's worker cannot
-    // read the patch replica, so positions ride the wire and land in the
-    // slab's own per-patch buffer (never the replica — that belongs to the
-    // coordinate path). ints = [slab, patch, step], reals = positions.
-    proc_->register_decoder(e_pme_atoms_, [this](const WirePayload& w) -> TaskFn {
-      return [this, w](ExecContext& c) {
-        if (w.ints.size() != 3) wire_state_error("bad pme atoms header");
-        const int slab = static_cast<int>(w.ints[0]);
-        const int patch = static_cast<int>(w.ints[1]);
-        if (slab < 0 || static_cast<std::size_t>(slab) >= pme_slabs_.size() ||
-            patch < 0 || static_cast<std::size_t>(patch) >= patches_.size()) {
-          wire_state_error("pme atoms target out of range");
-        }
-        if (w.reals.size() !=
-            patches_[static_cast<std::size_t>(patch)].atoms.size() * 3) {
-          wire_state_error("pme atoms payload size mismatch");
-        }
-        c.charge_pack(static_cast<double>(msg_bytes(
-                          patches_[static_cast<std::size_t>(patch)].atoms.size(),
-                          opts_.bytes_per_atom_coord)) *
-                      c.machine().unpack_byte_cost);
-        on_pme_atoms(c, slab, patch, static_cast<int>(w.ints[2]), &w.reals);
-      };
-    });
-
-    // Transpose blocks. ints = [dst slab, src slab], reals = the block.
-    const auto transpose_decoder = [this](bool forward) {
-      return [this, forward](const WirePayload& w) -> TaskFn {
-        return [this, forward, w](ExecContext& c) {
-          if (w.ints.size() != 2) wire_state_error("bad pme transpose header");
-          const int dst = static_cast<int>(w.ints[0]);
-          const int src = static_cast<int>(w.ints[1]);
-          if (dst < 0 || static_cast<std::size_t>(dst) >= pme_slabs_.size() ||
-              src < 0 || static_cast<std::size_t>(src) >= pme_slabs_.size()) {
-            wire_state_error("pme transpose slab out of range");
-          }
-          const std::size_t doubles = forward
-                                          ? pme_plan_->block_doubles(src, dst)
-                                          : pme_plan_->block_doubles(dst, src);
-          if (w.reals.size() != doubles) {
-            wire_state_error("pme transpose block size mismatch");
-          }
-          c.charge_pack(static_cast<double>(msg_bytes(doubles, sizeof(double))) *
-                        c.machine().unpack_byte_cost);
-          if (forward) {
-            on_pme_fwd(c, dst, src, w.reals);
-          } else {
-            on_pme_bwd(c, dst, src, w.reals);
-          }
-        };
-      };
-    };
-    proc_->register_decoder(e_pme_tr_fwd_, transpose_decoder(true));
-    proc_->register_decoder(e_pme_tr_bwd_, transpose_decoder(false));
-
-    // Force shares back to the patch home. ints = [patch, slab, step],
-    // reals = the per-atom force block.
-    proc_->register_decoder(e_pme_force_, [this](const WirePayload& w) -> TaskFn {
-      return [this, w](ExecContext& c) {
-        if (w.ints.size() != 3) wire_state_error("bad pme force header");
-        const int patch = static_cast<int>(w.ints[0]);
-        const int slab = static_cast<int>(w.ints[1]);
-        if (patch < 0 || static_cast<std::size_t>(patch) >= patches_.size() ||
-            slab < 0 || static_cast<std::size_t>(slab) >= pme_slabs_.size()) {
-          wire_state_error("pme force target out of range");
-        }
-        const std::size_t natoms =
-            patches_[static_cast<std::size_t>(patch)].atoms.size();
-        if (w.reals.size() != natoms * 3) {
-          wire_state_error("pme force payload size mismatch");
-        }
-        std::vector<Vec3> frc(natoms);
-        read_reals(w.reals, 0, frc);
-        c.charge_pack(
-            static_cast<double>(msg_bytes(natoms, opts_.bytes_per_atom_force)) *
-            c.machine().unpack_byte_cost);
-        on_pme_force(c, patch, slab, std::move(frc));
-      };
-    });
+    register_msg<PmeAtomsMsg>(e_pme_atoms_);
+    register_msg<PmeBlockMsg<true>>(e_pme_tr_fwd_);
+    register_msg<PmeBlockMsg<false>>(e_pme_tr_bwd_);
+    register_msg<PmeForceMsg>(e_pme_force_);
   }
-
   proc_->set_state_hooks(
       [this](int worker, int /*workers*/) { return flush_worker_state(worker); },
       [this](int worker, const std::vector<std::uint8_t>& blob) {
@@ -671,27 +331,22 @@ std::vector<std::uint8_t> ParallelSim::flush_worker_state(int worker) const {
 }
 
 void ParallelSim::merge_worker_state(int worker, const std::vector<std::uint8_t>& blob) {
-  try {
-    StateReader r(blob, /*staged=*/false);
-    io_worker_state(r, worker);
-    // The progress fold: counters add up across workers, and a step
-    // completes at the latest advance any worker saw.
-    for (int s = 0; s <= cycle_target_; ++s) {
-      const std::size_t g = static_cast<std::size_t>(step_base_ + s);
-      int delta = 0;
-      double last = 0.0;
-      steps_done_counter_[g] += r.field(delta);
-      step_last_advance_[g] = std::max(step_last_advance_[g], r.field(last));
-      if (steps_done_counter_[g] == active_patches_) {
-        step_completion_[g] = step_last_advance_[g];
-      }
+  // A bad frame throws StateDecodeError; the backend aborts the run on it.
+  StateReader r(blob, /*staged=*/false);
+  io_worker_state(r, worker);
+  // The progress fold: counters add up across workers, and a step
+  // completes at the latest advance any worker saw.
+  for (int s = 0; s <= cycle_target_; ++s) {
+    const std::size_t g = static_cast<std::size_t>(step_base_ + s);
+    int delta = 0;
+    double last = 0.0;
+    steps_done_counter_[g] += r.field(delta);
+    step_last_advance_[g] = std::max(step_last_advance_[g], r.field(last));
+    if (steps_done_counter_[g] == active_patches_) {
+      step_completion_[g] = step_last_advance_[g];
     }
-    r.finish();
-  } catch (const StateDecodeError& e) {
-    std::fprintf(stderr, "[scalemd] process wire: worker %d state %s\n", worker,
-                 e.what());
-    std::abort();
   }
+  r.finish();
 }
 
 }  // namespace scalemd

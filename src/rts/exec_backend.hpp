@@ -19,17 +19,6 @@ class ExecContext;
 /// backends that measure real time instead of modeling it).
 using TaskFn = std::function<void(ExecContext&)>;
 
-/// Serializable argument pack of an entry-method invocation. Closures
-/// (TaskFn) cannot cross an address-space boundary, so backends that route
-/// messages between OS processes (ProcessBackend) ship this instead and
-/// reconstruct the closure at the destination via a per-entry registered
-/// decoder. Doubles travel as raw IEEE-754 bits: bitwise trajectory
-/// equality survives the wire.
-struct WirePayload {
-  std::vector<std::int64_t> ints;
-  std::vector<double> reals;
-};
-
 /// A message carrying an entry-method invocation to a virtual processor.
 struct TaskMsg {
   EntryId entry = 0;
@@ -37,11 +26,13 @@ struct TaskMsg {
   int priority = 0;          ///< lower runs first among available messages
   std::size_t bytes = 0;     ///< payload size for the network model
   TaskFn fn;
-  /// Wire form of the invocation, attached by senders only when the active
-  /// backend may have to cross a process boundary (has_wire == true).
-  /// Single-address-space backends ignore it and run `fn` directly.
-  WirePayload wire;
-  bool has_wire = false;
+  /// The message's encoded fields, set only by a send whose destination
+  /// lies in another worker process (ExecContext::crosses_worker). Closures
+  /// cannot cross an address-space boundary, so the process backend ships
+  /// these bytes and the receiving worker's registered decoder rebuilds the
+  /// task. Doubles travel as raw IEEE-754 bits: bitwise trajectory equality
+  /// survives the wire.
+  std::vector<std::uint8_t> wire{};
 };
 
 /// Names and audit categories of entry methods. The registry is what makes
@@ -122,6 +113,11 @@ class ExecContext {
   /// skip cost modeling — in particular anything drawing from a shared
   /// noise RNG, which would otherwise make runs depend on thread count.
   virtual bool models_cost() const { return true; }
+
+  /// True when `dest` lies in another worker process, so a message sent
+  /// there must carry its encoded fields (TaskMsg::wire). Only the process
+  /// backend has more than one worker.
+  virtual bool crosses_worker(int /*dest*/) const { return false; }
 
   /// Consumes `seconds` of CPU time at the current point in the task.
   void charge(double seconds) { charged_ += seconds; }

@@ -68,64 +68,102 @@ HeartbeatDetector::State HeartbeatDetector::on_tick(int peer) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire forms
+// Wire forms: the task and stats frames' field lists
 // ---------------------------------------------------------------------------
 
-namespace {
+template <>
+inline constexpr std::size_t kWireSize<TaskRecord> = 5 * 8;
+template <>
+inline constexpr std::size_t kWireSize<MsgRecord> = 6 * 8;
 
-/// Serialized TaskMsg routed between workers (kTask frames).
-struct TaskFrame {
-  int dest_pe = 0;
-  int src_pe = 0;
-  EntryId entry = 0;
-  std::uint64_t object = 0;
-  std::int64_t priority = 0;
-  std::uint64_t bytes = 0;
-  double sent_at = 0.0;
-  WirePayload wire;
-};
+template <class Io>
+void io_value(Io& io, TaskRecord& r) {
+  io.i32(r.pe);
+  io.i32(r.entry);
+  io.u64(r.object);
+  io.f64(r.start);
+  io.f64(r.duration);
+}
 
-std::vector<std::uint8_t> encode_task(const TaskFrame& t) {
+template <class Io>
+void io_value(Io& io, MsgRecord& r) {
+  io.i32(r.src_pe);
+  io.i32(r.dst_pe);
+  io.i32(r.entry);
+  io.u64(r.bytes);
+  io.f64(r.send_time);
+  io.f64(r.recv_time);
+}
+
+template <class Io>
+void ProcessBackend::io_task_header(Io& io, RoutedTask& t) const {
+  const auto pe_ok = [this](int pe) { return pe >= 0 && pe < num_pes_; };
+  io.check(pe_ok(io.field(t.dest_pe)), StateError::kPeOutOfRange);
+  io.check(pe_ok(io.field(t.src_pe)), StateError::kPeOutOfRange);
+  io.check(decoders_.count(io.field(t.msg.entry)) != 0, StateError::kEntryOutOfRange);
+  io.field(t.msg.object);
+  io.field(t.msg.priority);
+  io.field(t.msg.bytes);
+  io.field(t.sent_at);
+}
+
+template <class Io>
+void ProcessBackend::io_worker_stats(Io& io, WorkerStats& s, int worker) const {
+  const auto pe_ok = [this](int pe) { return pe >= 0 && pe < num_pes_; };
+  const auto entry_ok = [this](EntryId e) { return e >= 0 && e < entries_.count(); };
+  io.field(s.offered);
+  io.field(s.executed);
+  std::size_t owned = 0;
+  for (int pe = worker; pe < num_pes_; pe += workers_) ++owned;
+  io.array(s.busy, owned);
+  for (const TaskRecord& r : io.list(s.tasks)) {
+    io.check(pe_ok(r.pe), StateError::kPeOutOfRange);
+    io.check(entry_ok(r.entry), StateError::kEntryOutOfRange);
+  }
+  for (const MsgRecord& r : io.list(s.msgs)) {
+    io.check(pe_ok(r.src_pe) && pe_ok(r.dst_pe), StateError::kPeOutOfRange);
+    io.check(entry_ok(r.entry), StateError::kEntryOutOfRange);
+  }
+  io.blob(s.app);
+}
+
+std::vector<std::uint8_t> ProcessBackend::encode_task(const RoutedTask& t) const {
   wire::Encoder e;
-  e.i64(t.dest_pe);
-  e.i64(t.src_pe);
-  e.i64(t.entry);
-  e.u64(t.object);
-  e.i64(t.priority);
-  e.u64(t.bytes);
-  e.f64(t.sent_at);
-  e.u64(t.wire.ints.size());
-  for (std::int64_t v : t.wire.ints) e.i64(v);
-  e.u64(t.wire.reals.size());
-  for (double v : t.wire.reals) e.f64(v);
+  StateWriter w(e);
+  // The writer only reads; the visitor is shared with the reader.
+  io_task_header(w, const_cast<RoutedTask&>(t));
+  e.append(t.msg.wire);
   return e.take();
 }
 
-bool decode_task(const std::vector<std::uint8_t>& payload, TaskFrame& t) {
-  wire::Decoder d(payload);
-  std::int64_t dest = 0, src = 0, entry = 0;
-  d.i64(dest);
-  d.i64(src);
-  d.i64(entry);
-  d.u64(t.object);
-  d.i64(t.priority);
-  d.u64(t.bytes);
-  d.f64(t.sent_at);
-  std::uint64_t n = 0;
-  if (!d.count(n, 8)) return false;
-  t.wire.ints.resize(static_cast<std::size_t>(n));
-  for (auto& v : t.wire.ints) d.i64(v);
-  if (!d.count(n, 8)) return false;
-  t.wire.reals.resize(static_cast<std::size_t>(n));
-  for (auto& v : t.wire.reals) d.f64(v);
-  if (!d.done()) return false;
-  t.dest_pe = static_cast<int>(dest);
-  t.src_pe = static_cast<int>(src);
-  t.entry = static_cast<EntryId>(entry);
-  return true;
+RoutedTask ProcessBackend::decode_task(const std::vector<std::uint8_t>& payload,
+                                       bool echo) const {
+  StateReader in(payload, /*staged=*/false);
+  RoutedTask t;
+  io_task_header(in, t);
+  wire::Encoder body;
+  StateWriter w(body);
+  t.msg.fn = decoders_.at(t.msg.entry)(in, echo ? &w : nullptr);
+  in.finish();
+  t.msg.wire = body.take();
+  return t;
 }
 
-}  // namespace
+std::vector<std::uint8_t> ProcessBackend::encode_worker_stats(
+    int worker, const WorkerStats& s) const {
+  return encode_fields([&](StateWriter& w) {
+    io_worker_stats(w, const_cast<WorkerStats&>(s), worker);  // reads only
+  });
+}
+
+WorkerStats ProcessBackend::decode_worker_stats(
+    int worker, const std::vector<std::uint8_t>& payload) const {
+  StateReader in(payload, /*staged=*/false);
+  WorkerStats s;
+  io_worker_stats(in, s, worker);
+  in.finish();
+  return s;
+}
 
 // ---------------------------------------------------------------------------
 // Worker-side runtime
@@ -183,24 +221,16 @@ struct ProcessBackend::WorkerState {
       enqueue(src_pe, dst_pe, std::move(msg), sent_at);
       return;
     }
-    if (!msg.has_wire ||
+    if (msg.wire.empty() ||
         backend->decoders_.find(msg.entry) == backend->decoders_.end()) {
       std::fprintf(stderr,
                    "[scalemd] process worker %d: entry '%s' crosses a worker "
-                   "boundary without a wire form/decoder\n",
+                   "boundary without encoded fields/decoder\n",
                    worker, backend->entries_.name(msg.entry).c_str());
       _exit(3);
     }
-    TaskFrame t;
-    t.dest_pe = dst_pe;
-    t.src_pe = src_pe;
-    t.entry = msg.entry;
-    t.object = msg.object;
-    t.priority = msg.priority;
-    t.bytes = msg.bytes;
-    t.sent_at = sent_at;
-    t.wire = std::move(msg.wire);
-    if (!wire::write_frame(fd, wire::FrameType::kTask, encode_task(t))) {
+    const RoutedTask t{dst_pe, src_pe, sent_at, std::move(msg)};
+    if (!wire::write_frame(fd, wire::FrameType::kTask, backend->encode_task(t))) {
       _exit(1);  // parent gone
     }
   }
@@ -215,6 +245,9 @@ class ProcessBackend::WorkerContext final : public ExecContext {
 
   const MachineModel& machine() const override { return ws_->backend->machine_; }
   bool models_cost() const override { return false; }
+  bool crosses_worker(int dest) const override {
+    return ws_->backend->owner_of(dest) != ws_->worker;
+  }
 
   void send(int dest, TaskMsg msg) override {
     ws_->send_from(pe_, dest, std::move(msg), now());
@@ -257,58 +290,35 @@ void ProcessBackend::worker_main(int worker, int fd, double t0) {
                           const std::vector<std::uint8_t>& payload) {
     switch (type) {
       case wire::FrameType::kTask: {
-        TaskFrame t;
-        if (!decode_task(payload, t)) {
-          std::fprintf(stderr, "[scalemd] process worker %d: %s task frame\n",
-                       worker, wire::wire_error_name(wire::WireError::kMalformed));
+        RoutedTask t;
+        try {
+          t = decode_task(payload);
+        } catch (const StateDecodeError& e) {
+          std::fprintf(stderr, "[scalemd] process worker %d: task frame %s\n",
+                       worker, e.what());
           _exit(2);
         }
         ++ws.received;
-        const auto it = decoders_.find(t.entry);
-        if (it == decoders_.end()) _exit(2);
-        TaskMsg msg;
-        msg.entry = t.entry;
-        msg.object = t.object;
-        msg.priority = static_cast<int>(t.priority);
-        msg.bytes = static_cast<std::size_t>(t.bytes);
-        msg.fn = it->second(t.wire);
-        ws.enqueue(t.src_pe, t.dest_pe, std::move(msg), t.sent_at);
+        ws.enqueue(t.src_pe, t.dest_pe, std::move(t.msg), t.sent_at);
         break;
       }
       case wire::FrameType::kPing:
         if (!wire::write_frame(fd, wire::FrameType::kPong, {})) _exit(1);
         break;
       case wire::FrameType::kFlush: {
-        wire::Encoder e;
-        e.u64(ws.offered);
-        e.u64(ws.executed);
-        std::uint32_t owned = 0;
-        for (int pe = worker; pe < num_pes_; pe += workers_) ++owned;
-        e.u32(owned);
+        WorkerStats st;
+        st.offered = ws.offered;
+        st.executed = ws.executed;
         for (int pe = worker; pe < num_pes_; pe += workers_) {
-          e.u32(static_cast<std::uint32_t>(pe));
-          e.f64(ws.busy[static_cast<std::size_t>(pe)]);
+          st.busy.push_back(ws.busy[static_cast<std::size_t>(pe)]);
         }
-        e.u64(ws.task_records.size());
-        for (const TaskRecord& r : ws.task_records) {
-          e.i64(r.pe);
-          e.i64(r.entry);
-          e.u64(r.object);
-          e.f64(r.start);
-          e.f64(r.duration);
+        st.tasks = std::move(ws.task_records);
+        st.msgs = std::move(ws.msg_records);
+        if (flush_hook_) st.app = flush_hook_(worker, workers_);
+        if (!wire::write_frame(fd, wire::FrameType::kState,
+                               encode_worker_stats(worker, st))) {
+          _exit(1);
         }
-        e.u64(ws.msg_records.size());
-        for (const MsgRecord& r : ws.msg_records) {
-          e.i64(r.src_pe);
-          e.i64(r.dst_pe);
-          e.i64(r.entry);
-          e.u64(r.bytes);
-          e.f64(r.send_time);
-          e.f64(r.recv_time);
-        }
-        e.blob(flush_hook_ ? flush_hook_(worker, workers_)
-                           : std::vector<std::uint8_t>{});
-        if (!wire::write_frame(fd, wire::FrameType::kState, e.take())) _exit(1);
         break;
       }
       case wire::FrameType::kExit:
@@ -445,7 +455,7 @@ double ProcessBackend::elapsed() const {
          1e-9;
 }
 
-void ProcessBackend::register_decoder(EntryId entry, TaskDecoder dec) {
+void ProcessBackend::register_decoder(EntryId entry, MessageDecoder dec) {
   decoders_[entry] = std::move(dec);
 }
 
@@ -466,63 +476,21 @@ void ProcessBackend::inject(int pe, TaskMsg msg, double /*time*/) {
   pending_.emplace_back(pe, std::move(msg));
 }
 
-void ProcessBackend::merge_worker_blob(int worker,
-                                       const std::vector<std::uint8_t>& blob) {
-  wire::Decoder d(blob);
-  std::uint64_t offered = 0, executed = 0;
-  d.u64(offered);
-  d.u64(executed);
-  std::uint32_t owned = 0;
-  d.u32(owned);
-  for (std::uint32_t i = 0; i < owned && d.ok(); ++i) {
-    std::uint32_t pe = 0;
-    double busy = 0.0;
-    d.u32(pe);
-    d.f64(busy);
-    if (pe < busy_.size()) busy_[pe] += busy;
+void ProcessBackend::merge_worker_stats(int worker,
+                                        const std::vector<std::uint8_t>& payload) {
+  const WorkerStats s = decode_worker_stats(worker, payload);
+  acct_.offered += s.offered;
+  acct_.executed += s.executed;
+  executed_ += s.executed;
+  std::size_t i = 0;
+  for (int pe = worker; pe < num_pes_; pe += workers_) {
+    busy_[static_cast<std::size_t>(pe)] += s.busy[i++];
   }
-  std::uint64_t n = 0;
-  d.count(n, 5 * 8);
-  for (std::uint64_t i = 0; i < n && d.ok(); ++i) {
-    std::int64_t pe = 0, entry = 0;
-    TaskRecord r;
-    d.i64(pe);
-    d.i64(entry);
-    d.u64(r.object);
-    d.f64(r.start);
-    d.f64(r.duration);
-    r.pe = static_cast<int>(pe);
-    r.entry = static_cast<EntryId>(entry);
-    if (sink_ != nullptr && d.ok()) sink_->on_task(r);
+  if (sink_ != nullptr) {
+    for (const TaskRecord& r : s.tasks) sink_->on_task(r);
+    for (const MsgRecord& r : s.msgs) sink_->on_message(r);
   }
-  d.count(n, 6 * 8);
-  for (std::uint64_t i = 0; i < n && d.ok(); ++i) {
-    std::int64_t src = 0, dst = 0, entry = 0;
-    std::uint64_t bytes = 0;
-    MsgRecord r;
-    d.i64(src);
-    d.i64(dst);
-    d.i64(entry);
-    d.u64(bytes);
-    d.f64(r.send_time);
-    d.f64(r.recv_time);
-    r.src_pe = static_cast<int>(src);
-    r.dst_pe = static_cast<int>(dst);
-    r.entry = static_cast<EntryId>(entry);
-    r.bytes = static_cast<std::size_t>(bytes);
-    if (sink_ != nullptr && d.ok()) sink_->on_message(r);
-  }
-  std::vector<std::uint8_t> app;
-  d.blob(app);
-  if (!d.done()) {
-    std::fprintf(stderr, "[scalemd] process backend: malformed state blob from worker %d\n",
-                 worker);
-    std::abort();
-  }
-  acct_.offered += offered;
-  acct_.executed += executed;
-  executed_ += executed;
-  if (merge_hook_) merge_hook_(worker, app);
+  if (merge_hook_) merge_hook_(worker, s.app);
 }
 
 void ProcessBackend::fail_epoch(Supervisor& sup, int dead_worker, const char* why) {
@@ -814,7 +782,15 @@ void ProcessBackend::run() {
   }
   pending_.clear();
   for (int w = 0; w < workers_; ++w) {
-    merge_worker_blob(w, sup.ws[static_cast<std::size_t>(w)].state);
+    try {
+      merge_worker_stats(w, sup.ws[static_cast<std::size_t>(w)].state);
+    } catch (const StateDecodeError& e) {
+      // A frame our own worker wrote does not decode: merging anyway would
+      // corrupt the run silently.
+      std::fprintf(stderr, "[scalemd] process backend: worker %d state %s\n", w,
+                   e.what());
+      std::abort();
+    }
   }
   horizon_ = elapsed();
 }

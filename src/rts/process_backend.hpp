@@ -9,6 +9,7 @@
 
 #include "des/machine.hpp"
 #include "des/trace_sink.hpp"
+#include "rts/codec.hpp"
 #include "rts/exec_backend.hpp"
 #include "rts/wire.hpp"
 
@@ -62,20 +63,42 @@ class HeartbeatDetector {
   int dead_after_;
 };
 
-/// Rebuilds a TaskFn from a message's WirePayload at the receiving worker.
-using TaskDecoder = std::function<TaskFn(const WirePayload&)>;
+/// One entry's message decoder, run by the receiving worker: reads and
+/// validates every field of the message body (a bad field throws
+/// StateDecodeError) and returns the task that delivers it. When `echo` is
+/// given it also re-encodes the decoded message into it.
+using MessageDecoder = std::function<TaskFn(StateReader& in, StateWriter* echo)>;
+
+/// A send between workers, as one kTask frame carries it.
+struct RoutedTask {
+  int dest_pe = 0;
+  int src_pe = 0;
+  double sent_at = 0.0;
+  TaskMsg msg;  ///< `wire` holds the encoded message body
+};
+
+/// What a worker reports to the supervisor at quiescence (the kState frame).
+struct WorkerStats {
+  std::uint64_t offered = 0;  ///< sends + posts the worker originated
+  std::uint64_t executed = 0;
+  std::vector<double> busy;   ///< per owned PE, ascending
+  std::vector<TaskRecord> tasks;
+  std::vector<MsgRecord> msgs;
+  std::vector<std::uint8_t> app;  ///< the flush hook's blob
+};
 
 /// Out-of-process ExecBackend: every run() forks `workers` OS processes,
 /// each hosting the PEs with pe % workers == worker and draining them in
 /// the same (priority, FIFO) mailbox order as the other backends. fork()
 /// preserves the parent's address space, so tasks whose sender and receiver
 /// share a worker run their closures unchanged; messages that cross workers
-/// are serialized through the wire layer (versioned, checksummed frames
-/// over Unix-domain socketpairs, star-routed through the parent) and
-/// reconstructed by per-entry decoders. At quiescence each worker flushes
-/// its mutated state back to the parent (kFlush/kState), which merges it in
-/// worker order — so the parent's post-run state is deterministic and
-/// bitwise equal to the single-address-space backends.
+/// carry their encoded fields through the wire layer (versioned,
+/// checksummed frames over Unix-domain socketpairs, star-routed through the
+/// parent) and are rebuilt by per-entry message decoders. At quiescence
+/// each worker flushes its mutated state back to the parent
+/// (kFlush/kState), which merges it in worker order — so the parent's
+/// post-run state is deterministic and bitwise equal to the
+/// single-address-space backends.
 ///
 /// Failure is real: a worker killed mid-run (SIGKILL, crash, or a hang
 /// caught by the heartbeat detector) fails the epoch. The parent reaps
@@ -115,10 +138,30 @@ class ProcessBackend final : public ExecBackend {
     return {dead_pes_.begin(), dead_pes_.end()};
   }
 
-  /// Registers the wire decoder for an entry. Any cross-worker send whose
-  /// entry has no decoder (or whose message lacks a wire payload) is a
-  /// programming error and aborts the worker.
-  void register_decoder(EntryId entry, TaskDecoder dec);
+  /// Registers the message decoder for an entry. Any cross-worker send
+  /// whose entry has no decoder (or whose message carries no encoded
+  /// fields) is a programming error and aborts the worker.
+  void register_decoder(EntryId entry, MessageDecoder dec);
+
+  /// The kTask payload of a cross-worker send: the routing header, then
+  /// `t.msg.wire` (the message body) verbatim.
+  std::vector<std::uint8_t> encode_task(const RoutedTask& t) const;
+  /// The receiving worker's decode of a kTask payload. Validates the header
+  /// (PEs in [0, num_pes), an entry with a decoder, int-ranged fields), runs
+  /// the entry's decoder over the body and requires the payload consumed
+  /// exactly; any defect throws StateDecodeError. `echo` re-encodes the
+  /// decoded body into the result's msg.wire, so encode_task of the result
+  /// reproduces an accepted payload.
+  RoutedTask decode_task(const std::vector<std::uint8_t>& payload,
+                         bool echo = false) const;
+
+  /// A worker's kState payload. `s.busy` lists the worker's PEs in order.
+  std::vector<std::uint8_t> encode_worker_stats(int worker, const WorkerStats& s) const;
+  /// The supervisor's decode of a kState payload, validated whole before
+  /// any record reaches a sink: record PEs in [0, num_pes), entries below
+  /// the registry's count, exact length. Throws StateDecodeError.
+  WorkerStats decode_worker_stats(int worker,
+                                  const std::vector<std::uint8_t>& payload) const;
 
   /// Application-state externalization: `flush` runs inside each worker at
   /// quiescence and returns the worker's mutated-state blob; `merge` runs
@@ -143,7 +186,9 @@ class ProcessBackend final : public ExecBackend {
 
   void worker_main(int worker, int fd, double t0) /* _exit()s, never returns */;
   void fail_epoch(Supervisor& sup, int dead_worker, const char* why);
-  void merge_worker_blob(int worker, const std::vector<std::uint8_t>& blob);
+  void merge_worker_stats(int worker, const std::vector<std::uint8_t>& payload);
+  template <class Io> void io_task_header(Io& io, RoutedTask& t) const;
+  template <class Io> void io_worker_stats(Io& io, WorkerStats& s, int worker) const;
   double elapsed() const;
 
   int num_pes_;
@@ -152,7 +197,7 @@ class ProcessBackend final : public ExecBackend {
   ProcessOptions opts_;
   EntryRegistry entries_;
   TraceSink* sink_ = nullptr;
-  std::map<EntryId, TaskDecoder> decoders_;
+  std::map<EntryId, MessageDecoder> decoders_;
   std::function<std::vector<std::uint8_t>(int, int)> flush_hook_;
   std::function<void(int, const std::vector<std::uint8_t>&)> merge_hook_;
 

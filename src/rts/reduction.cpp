@@ -9,7 +9,9 @@ namespace scalemd {
 
 Reducer::Reducer(std::vector<int> pe_of_contributor, EntryId entry,
                  std::function<void(int round, double total)> callback)
-    : entry_(entry), callback_(std::move(callback)) {
+    : entry_(entry),
+      callback_(std::move(callback)),
+      contributors_(static_cast<int>(pe_of_contributor.size())) {
   // Participating PEs in ascending order; rank in this list defines the
   // binary reduction tree (parent(r) = (r-1)/2).
   std::vector<int> pes = pe_of_contributor;
@@ -37,18 +39,24 @@ int Reducer::rank_of_pe(int pe) const {
 }
 
 void Reducer::contribute(ExecContext& ctx, int id, int round, double value) {
-  absorb(ctx, rank_of_pe(ctx.pe()), round, {{id, value}}, 1);
+  absorb(ctx, rank_of_pe(ctx.pe()), round, {{id, value}});
+}
+
+void Reducer::recv(ExecContext& ctx, ReductionMsg& m) {
+  ctx.charge(1e-6);  // combine cost
+  absorb(ctx, m.rank, m.round, std::move(m.parts));
 }
 
 void Reducer::absorb(ExecContext& ctx, int rank, int round,
-                     std::vector<std::pair<int, double>> parts, int count) {
-  NodeRound& nr = state_[static_cast<std::size_t>(rank)][round];
-  nr.received += count;
-  nr.parts.insert(nr.parts.end(), parts.begin(), parts.end());
-  if (nr.received < subtree_expected_[static_cast<std::size_t>(rank)]) return;
+                     std::vector<std::pair<int, double>> parts) {
+  std::vector<std::pair<int, double>>& gathered =
+      state_[static_cast<std::size_t>(rank)][round];
+  gathered.insert(gathered.end(), parts.begin(), parts.end());
+  if (static_cast<int>(gathered.size()) < subtree_expected_[static_cast<std::size_t>(rank)]) {
+    return;
+  }
 
-  std::vector<std::pair<int, double>> all = std::move(nr.parts);
-  const int forwarded = nr.received;
+  std::vector<std::pair<int, double>> all = std::move(gathered);
   state_[static_cast<std::size_t>(rank)].erase(round);
 
   if (rank == 0) {
@@ -70,24 +78,11 @@ void Reducer::absorb(ExecContext& ctx, int rank, int round,
   msg.entry = entry_;
   msg.bytes = 32;  // modeled payload: one scalar + header (pairs are bookkeeping)
   msg.priority = -1;  // reductions are latency-critical
-  if (wire_) {
-    msg.has_wire = true;
-    msg.wire.ints.reserve(4 + all.size());
-    msg.wire.ints.push_back(parent_rank);
-    msg.wire.ints.push_back(round);
-    msg.wire.ints.push_back(forwarded);
-    msg.wire.ints.push_back(static_cast<std::int64_t>(all.size()));
-    msg.wire.reals.reserve(all.size());
-    for (const auto& p : all) {
-      msg.wire.ints.push_back(p.first);
-      msg.wire.reals.push_back(p.second);
-    }
+  ReductionMsg m{parent_rank, round, std::move(all)};
+  if (ctx.crosses_worker(parent_pe)) {
+    msg.wire = encode_fields([&](StateWriter& w) { io(w, m); });
   }
-  msg.fn = [this, parent_rank, round, all = std::move(all),
-            forwarded](ExecContext& c) mutable {
-    c.charge(1e-6);  // combine cost
-    absorb(c, parent_rank, round, std::move(all), forwarded);
-  };
+  msg.fn = [this, m = std::move(m)](ExecContext& c) mutable { recv(c, m); };
   if (reliable_ != nullptr) {
     reliable_->send(ctx, parent_pe, std::move(msg));
   } else {

@@ -5,11 +5,25 @@
 #include <utility>
 #include <vector>
 
+#include "rts/codec.hpp"
 #include "rts/exec_backend.hpp"
 
 namespace scalemd {
 
 class ReliableComm;
+
+/// A partial sum climbing the reduction tree: every contribution one
+/// subtree gathered for a round. Reducer::io is its field list and
+/// Reducer::recv its handler.
+struct ReductionMsg {
+  int rank = 0;  ///< receiving tree rank
+  int round = 0;
+  /// (contributor id, value) pairs. Carrying the pairs up the tree (instead
+  /// of a running double) costs nothing in the model — the modeled payload
+  /// stays one scalar plus header — and lets the root sum in canonical id
+  /// order.
+  std::vector<std::pair<int, double>> parts;
+};
 
 /// Repeated tree reduction of doubles across PEs, Charm++-style: every round
 /// (timestep), each contributor deposits a value from within a task; when a
@@ -39,17 +53,36 @@ class Reducer {
   /// layer (nullptr = raw sends). Contributions themselves are local calls.
   void set_reliable(ReliableComm* reliable) { reliable_ = reliable; }
 
-  /// Attaches a WirePayload to every upward message so the process backend
-  /// can route it across workers: ints = [parent rank, round, forwarded
-  /// count, n, contributor ids...], reals = the n values.
-  void set_wire(bool on) { wire_ = on; }
-
-  /// Wire entry point: re-injects a decoded upward message at `rank`.
-  /// Equivalent to the closure the sender would have run in-process.
-  void deliver(ExecContext& ctx, int rank, int round,
-               std::vector<std::pair<int, double>> parts, int count) {
-    absorb(ctx, rank, round, std::move(parts), count);
+  /// Rounds the tree currently accepts: a decoded message for a round
+  /// outside [first, last] is rejected. ParallelSim opens each cycle's.
+  void expect_rounds(int first, int last) {
+    first_round_ = first;
+    last_round_ = last;
   }
+
+  /// ReductionMsg's field list. A reader validates it against this tree:
+  /// the rank exists, the round is open, the parts are a child subtree's
+  /// (at least one, at most what the rank gathers from below) and every
+  /// contributor id is known.
+  template <class Io>
+  void io(Io& io, ReductionMsg& m) const {
+    const std::size_t rank = io.index(m.rank, active_pes_.size());
+    const int round = io.field(m.round);
+    io.check(round >= first_round_ && round <= last_round_,
+             StateError::kRoundOutOfRange);
+    const auto& parts = io.list(m.parts);
+    const int from_below = subtree_expected_[rank] - local_expected_[rank];
+    io.check(!parts.empty() && parts.size() <= static_cast<std::size_t>(from_below),
+             StateError::kCountMismatch);
+    for (const auto& part : parts) {
+      io.check(part.first >= 0 && part.first < contributors_,
+               StateError::kIndexOutOfRange);
+    }
+  }
+
+  /// ReductionMsg's handler (the combine cost, then absorb at m.rank); the
+  /// in-process task and the decoded wire task both run it.
+  void recv(ExecContext& ctx, ReductionMsg& m);
 
   /// Discards every partially filled round on every tree node. Checkpoint
   /// restart uses this: replayed contributions must start from a clean
@@ -57,19 +90,10 @@ class Reducer {
   void clear_pending();
 
  private:
-  struct NodeRound {
-    int received = 0;
-    /// (contributor id, value) pairs gathered so far. Carrying the pairs up
-    /// the tree (instead of a running double) costs nothing in the model —
-    /// the modeled payload stays one scalar plus header — and lets the root
-    /// sum in canonical id order.
-    std::vector<std::pair<int, double>> parts;
-  };
-
   /// Handles contributions arriving at `rank` in the tree (local deposit or
   /// child message); forwards up or completes.
   void absorb(ExecContext& ctx, int rank, int round,
-              std::vector<std::pair<int, double>> parts, int count);
+              std::vector<std::pair<int, double>> parts);
 
   int rank_of_pe(int pe) const;
 
@@ -77,11 +101,14 @@ class Reducer {
   std::unordered_map<int, int> pe_rank_;   ///< pe -> rank
   std::vector<int> local_expected_;        ///< contributions expected per rank
   std::vector<int> subtree_expected_;      ///< total expected in subtree
-  std::vector<std::unordered_map<int, NodeRound>> state_;  ///< per rank, per round
+  /// Per rank, per round: the (contributor id, value) pairs gathered so far.
+  std::vector<std::unordered_map<int, std::vector<std::pair<int, double>>>> state_;
   EntryId entry_;
   std::function<void(int, double)> callback_;
   ReliableComm* reliable_ = nullptr;
-  bool wire_ = false;
+  int contributors_ = 0;
+  int first_round_ = 0;
+  int last_round_ = 0;
 };
 
 }  // namespace scalemd

@@ -90,6 +90,10 @@ class Encoder {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
   void blob(const std::vector<std::uint8_t>& b);
+  /// Appends already-encoded bytes (no count).
+  void append(const std::vector<std::uint8_t>& b) {
+    buf_.insert(buf_.end(), b.begin(), b.end());
+  }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }

@@ -121,13 +121,14 @@ TEST(ProcessBackend, CrossWorkerSendSerializesThroughDecoder) {
   const EntryId ping = b.entries().add("test.ping", WorkCategory::kComm);
   g_hits.assign(2, 0);
   install_hit_hooks(b);
-  // The decoder rebuilds the closure from the wire payload at the receiving
-  // worker; the payload carries how much to add.
-  b.register_decoder(ping, [](const WirePayload& w) -> TaskFn {
-    const std::int64_t amount = w.ints.empty() ? 0 : w.ints[0];
+  // The decoder rebuilds the closure from the encoded fields at the
+  // receiving worker; the message carries how much to add.
+  b.register_decoder(ping, [](StateReader& in, StateWriter* echo) -> TaskFn {
+    std::uint64_t amount = 0;
+    in.field(amount);
+    if (echo != nullptr) echo->field(amount);
     return [amount](ExecContext& c) {
-      g_hits[static_cast<std::size_t>(c.pe())] +=
-          static_cast<std::uint64_t>(amount);
+      g_hits[static_cast<std::size_t>(c.pe())] += amount;
     };
   });
   TaskMsg boot;
@@ -137,8 +138,9 @@ TEST(ProcessBackend, CrossWorkerSendSerializesThroughDecoder) {
     TaskMsg m;
     m.entry = ping;
     m.bytes = 8;
-    m.has_wire = true;
-    m.wire.ints = {42};
+    EXPECT_TRUE(c.crosses_worker(1));
+    std::uint64_t amount = 42;
+    m.wire = encode_fields([&](StateWriter& w) { w.field(amount); });
     c.send(1, std::move(m));  // pe 1 lives in the other worker
   };
   b.inject(0, std::move(boot));
