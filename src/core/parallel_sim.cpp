@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <cmath>
+#include <map>
+#include <stdexcept>
 
 #include "core/parallel_sim_rt.hpp"
 #include "ewald/full_elec.hpp"
-#include "ff/bonded.hpp"
 #include "lb/diffusion.hpp"
 #include "lb/evacuate.hpp"
 #include "lb/greedy.hpp"
@@ -70,6 +70,15 @@ Workload::Workload(const Molecule& molecule, const MachineModel& machine,
 
 ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     : wl_(&workload), opts_(opts), mol_(workload.mol) {
+  // Parallelism lives at one level, the PE: a thread pool inside a compute
+  // task would oversubscribe the threaded backend's workers and the process
+  // backend's worker processes. The check runs in every build type, on
+  // every backend, before anything is started.
+  if (wl_->nonbonded.kernel == NonbondedKernel::kTiledThreads) {
+    throw std::invalid_argument(
+        "ParallelSim: the tiled+threads kernel is a sequential-engine option; "
+        "the runtime takes scalar or tiled");
+  }
   if (opts_.numeric) {
     excl_ = ExclusionTable::build(*mol_);
     charges_.reserve(static_cast<std::size_t>(mol_->atom_count()));
@@ -80,11 +89,6 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     nb_ctx_ = std::make_unique<NonbondedContext>(mol_->params, excl_, charges_,
                                                  lj_types_, wl_->nonbonded);
     tiled_ws_.resize(static_cast<std::size_t>(opts_.num_pes));
-    if (wl_->nonbonded.kernel == NonbondedKernel::kTiledThreads) {
-      const int t = wl_->nonbonded.threads > 0 ? wl_->nonbonded.threads
-                                               : ThreadPool::default_threads();
-      nb_pool_ = std::make_unique<ThreadPool>(t);
-    }
   }
 
   if (opts_.backend == BackendKind::kThreaded) {
@@ -95,8 +99,6 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     assert(opts_.fault.empty() && !opts_.reliable &&
            opts_.checkpoint_every == 0 &&
            "fault/recovery layers require the simulated backend");
-    assert(wl_->nonbonded.kernel != NonbondedKernel::kTiledThreads &&
-           "tiled-threads kernel would nest thread pools; use kTiled");
     exec_ = std::make_unique<ThreadedBackend>(opts_.num_pes, opts_.machine,
                                               opts_.threads);
   } else if (opts_.backend == BackendKind::kProcess) {
@@ -108,8 +110,6 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     assert(opts_.numeric && "process backend requires numeric mode");
     assert(opts_.fault.empty() && !opts_.reliable &&
            "fault modeling and reliable delivery require the simulated backend");
-    assert(wl_->nonbonded.kernel != NonbondedKernel::kTiledThreads &&
-           "tiled-threads kernel would nest thread pools; use kTiled");
     auto proc = std::make_unique<ProcessBackend>(opts_.num_pes, opts_.machine,
                                                  opts_.process);
     proc_ = proc.get();
@@ -401,8 +401,6 @@ void ParallelSim::run_compute(ExecContext& ctx, int compute) {
   const int pe = ctx.pe();
 
   if (opts_.numeric) {
-    WorkCounters w;
-    EnergyTerms e;
     const int step_global = step_base_ + patches_[static_cast<std::size_t>(
                                              desc.patches[0])].step;
     // This compute's private force buffer for `patch` (its slot in the
@@ -417,106 +415,27 @@ void ParallelSim::run_compute(ExecContext& ctx, int compute) {
       assert(false && "compute not registered on its proxy");
       return proxy.scratch[0];
     };
-    switch (desc.kind) {
-      case ComputeKind::kSelf: {
-        PatchRt& pa = patches_[static_cast<std::size_t>(desc.patches[0])];
-        std::vector<Vec3>& fa = scratch_of(desc.patches[0]);
-        const std::size_t n = pa.atoms.size();
-        const auto b = static_cast<std::size_t>(std::lround(desc.frac_begin * n));
-        const auto en = static_cast<std::size_t>(std::lround(desc.frac_end * n));
-        switch (wl_->nonbonded.kernel) {
-          case NonbondedKernel::kScalar:
-            e = nonbonded_self_range(*nb_ctx_, pa.atoms, pa.pos, fa, b, en, w);
-            break;
-          case NonbondedKernel::kTiled:
-            e = nonbonded_self_range_tiled(*nb_ctx_, pa.atoms, pa.pos, fa, b,
-                                           en, w,
-                                           tiled_ws_[static_cast<std::size_t>(pe)]);
-            break;
-          case NonbondedKernel::kTiledThreads:
-            e = nonbonded_self_range_tiled_mt(*nb_ctx_, pa.atoms, pa.pos, fa,
-                                              b, en, w, tiled_mt_ws_, *nb_pool_);
-            break;
-        }
-        break;
-      }
-      case ComputeKind::kPair: {
-        PatchRt& pa = patches_[static_cast<std::size_t>(desc.patches[0])];
-        PatchRt& pb = patches_[static_cast<std::size_t>(desc.patches[1])];
-        std::vector<Vec3>& fa = scratch_of(desc.patches[0]);
-        std::vector<Vec3>& fb = scratch_of(desc.patches[1]);
-        const std::size_t n = pa.atoms.size();
-        const auto b = static_cast<std::size_t>(std::lround(desc.frac_begin * n));
-        const auto en = static_cast<std::size_t>(std::lround(desc.frac_end * n));
-        switch (wl_->nonbonded.kernel) {
-          case NonbondedKernel::kScalar:
-            e = nonbonded_ab_range(*nb_ctx_, pa.atoms, pa.pos, fa, pb.atoms,
-                                   pb.pos, fb, b, en, w);
-            break;
-          case NonbondedKernel::kTiled:
-            e = nonbonded_ab_range_tiled(*nb_ctx_, pa.atoms, pa.pos, fa,
-                                         pb.atoms, pb.pos, fb, b, en, w,
-                                         tiled_ws_[static_cast<std::size_t>(pe)]);
-            break;
-          case NonbondedKernel::kTiledThreads:
-            e = nonbonded_ab_range_tiled_mt(*nb_ctx_, pa.atoms, pa.pos, fa,
-                                            pb.atoms, pb.pos, fb, b, en, w,
-                                            tiled_mt_ws_, *nb_pool_);
-            break;
-        }
-        break;
-      }
-      default: {
-        // Bonded kinds: fetch coordinates by atom location, scatter forces
-        // into this compute's scratch slots of the owning patches' proxies.
-        auto pos_of = [&](int atom) -> const Vec3& {
-          const auto [p, idx] = atom_loc_[static_cast<std::size_t>(atom)];
-          return patches_[static_cast<std::size_t>(p)].pos[static_cast<std::size_t>(idx)];
-        };
-        auto frc_of = [&](int atom) -> Vec3& {
-          const auto [p, idx] = atom_loc_[static_cast<std::size_t>(atom)];
-          return scratch_of(p)[static_cast<std::size_t>(idx)];
-        };
-        for (int t : desc.terms) {
-          switch (desc.kind) {
-            case ComputeKind::kBonds: {
-              const Bond& term = mol_->bonds()[static_cast<std::size_t>(t)];
-              e.bond += bond_energy_force(pos_of(term.a), pos_of(term.b),
-                                          mol_->params.bond(term.param),
-                                          frc_of(term.a), frc_of(term.b));
-              break;
-            }
-            case ComputeKind::kAngles: {
-              const Angle& term = mol_->angles()[static_cast<std::size_t>(t)];
-              e.angle += angle_energy_force(
-                  pos_of(term.a), pos_of(term.b), pos_of(term.c),
-                  mol_->params.angle(term.param), frc_of(term.a), frc_of(term.b),
-                  frc_of(term.c));
-              break;
-            }
-            case ComputeKind::kDihedrals: {
-              const Dihedral& term = mol_->dihedrals()[static_cast<std::size_t>(t)];
-              e.dihedral += dihedral_energy_force(
-                  pos_of(term.a), pos_of(term.b), pos_of(term.c), pos_of(term.d),
-                  mol_->params.dihedral(term.param), frc_of(term.a), frc_of(term.b),
-                  frc_of(term.c), frc_of(term.d));
-              break;
-            }
-            default: {
-              const Improper& term = mol_->impropers()[static_cast<std::size_t>(t)];
-              e.improper += improper_energy_force(
-                  pos_of(term.a), pos_of(term.b), pos_of(term.c), pos_of(term.d),
-                  mol_->params.improper(term.param), frc_of(term.a), frc_of(term.b),
-                  frc_of(term.c), frc_of(term.d));
-              break;
-            }
-          }
-        }
-        w.bonded_terms += desc.terms.size();
-        break;
-      }
-    }
-    rt.work = w;
+    const auto patch_of = [&](int k) {
+      const int p = desc.patches[static_cast<std::size_t>(k)];
+      const PatchRt& pr = patches_[static_cast<std::size_t>(p)];
+      return PatchView{pr.atoms, pr.pos, scratch_of(p)};
+    };
+    // Bonded terms fetch coordinates by atom location and scatter forces
+    // into this compute's scratch slots of the owning patches' proxies.
+    const auto pos_of = [&](int atom) -> const Vec3& {
+      const auto [p, idx] = atom_loc_[static_cast<std::size_t>(atom)];
+      return patches_[static_cast<std::size_t>(p)].pos[static_cast<std::size_t>(idx)];
+    };
+    const auto frc_of = [&](int atom) -> Vec3& {
+      const auto [p, idx] = atom_loc_[static_cast<std::size_t>(atom)];
+      return scratch_of(p)[static_cast<std::size_t>(idx)];
+    };
+    TiledWorkspace* tiled = wl_->nonbonded.kernel == NonbondedKernel::kTiled
+                                ? &tiled_ws_[static_cast<std::size_t>(pe)]
+                                : nullptr;
+    WorkCounters w;
+    const EnergyTerms e =
+        evaluate_compute(desc, *mol_, *nb_ctx_, tiled, patch_of, pos_of, frc_of, w);
     // Potential energy goes into this compute's private (compute, step)
     // slot by assignment — no shared accumulator to race on or to
     // double-count under fault replay. attempt_cycle folds the slots in

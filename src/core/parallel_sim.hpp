@@ -147,6 +147,8 @@ struct ParallelOptions {
 /// one MachineModel) running one workload.
 class ParallelSim {
  public:
+  /// Throws std::invalid_argument when the workload's non-bonded kernel is
+  /// NonbondedKernel::kTiledThreads (a sequential-engine option).
   ParallelSim(const Workload& workload, const ParallelOptions& opts);
   ~ParallelSim();
 
@@ -392,12 +394,10 @@ class ParallelSim {
   std::vector<double> charges_;
   std::vector<int> lj_types_;
   std::unique_ptr<NonbondedContext> nb_ctx_;
-  // Tiled-kernel scratch (numeric mode, Workload::nonbonded.kernel !=
-  // scalar). One workspace per PE: under the threaded backend each PE's
+  // Tiled-kernel scratch (numeric mode, Workload::nonbonded.kernel ==
+  // kTiled). One workspace per PE: under the threaded backend each PE's
   // worker runs kernels concurrently, and the scratch must not be shared.
   std::vector<TiledWorkspace> tiled_ws_;
-  TiledThreadWorkspace tiled_mt_ws_;
-  std::unique_ptr<ThreadPool> nb_pool_;
 
   std::unique_ptr<ExecBackend> exec_;
   Simulator* des_ = nullptr;  ///< exec_ downcast when simulated, else null

@@ -52,7 +52,6 @@ struct ParallelSim::ComputeRt {
   std::vector<int> deps;  ///< current patch dependencies (bonded deps can
                           ///< change after atom migration)
   int deps_pending = 0;
-  WorkCounters work;      ///< live-measured work (numeric mode)
 };
 
 /// Runtime state of one parallel-PME slab object. Every buffer is per-round

@@ -1,9 +1,5 @@
 #include "core/work_cache.hpp"
 
-#include <cmath>
-
-#include "ff/bonded.hpp"
-
 namespace scalemd {
 
 WorkCache::WorkCache(const Molecule& mol, const Decomposition& decomp,
@@ -31,84 +27,21 @@ WorkCache::WorkCache(const Molecule& mol, const Decomposition& decomp,
   }
   std::vector<Vec3> gfrc(static_cast<std::size_t>(mol.atom_count()));
 
+  const auto pos = [&](int atom) -> const Vec3& {
+    return mol.positions()[static_cast<std::size_t>(atom)];
+  };
+  const auto frc = [&](int atom) -> Vec3& {
+    return gfrc[static_cast<std::size_t>(atom)];
+  };
+
   work_.reserve(plan.computes().size());
   for (const ComputeDesc& c : plan.computes()) {
+    const auto patch = [&](int k) {
+      const auto p = static_cast<std::size_t>(c.patches[static_cast<std::size_t>(k)]);
+      return PatchView{patch_atoms[p], ppos[p], pfrc[p]};
+    };
     WorkCounters w;
-    switch (c.kind) {
-      case ComputeKind::kSelf: {
-        const auto p = static_cast<std::size_t>(c.patches[0]);
-        const std::size_t n = patch_atoms[p].size();
-        const auto b = static_cast<std::size_t>(std::lround(c.frac_begin * n));
-        const auto e = static_cast<std::size_t>(std::lround(c.frac_end * n));
-        energy_ +=
-            nonbonded_self_range(ctx, patch_atoms[p], ppos[p], pfrc[p], b, e, w);
-        break;
-      }
-      case ComputeKind::kPair: {
-        const auto pa = static_cast<std::size_t>(c.patches[0]);
-        const auto pb = static_cast<std::size_t>(c.patches[1]);
-        const std::size_t n = patch_atoms[pa].size();
-        const auto b = static_cast<std::size_t>(std::lround(c.frac_begin * n));
-        const auto e = static_cast<std::size_t>(std::lround(c.frac_end * n));
-        energy_ += nonbonded_ab_range(ctx, patch_atoms[pa], ppos[pa], pfrc[pa],
-                                      patch_atoms[pb], ppos[pb], pfrc[pb], b, e, w);
-        break;
-      }
-      case ComputeKind::kBonds:
-        for (int t : c.terms) {
-          const Bond& term = mol.bonds()[static_cast<std::size_t>(t)];
-          energy_.bond += bond_energy_force(
-              mol.positions()[static_cast<std::size_t>(term.a)],
-              mol.positions()[static_cast<std::size_t>(term.b)],
-              mol.params.bond(term.param), gfrc[static_cast<std::size_t>(term.a)],
-              gfrc[static_cast<std::size_t>(term.b)]);
-        }
-        w.bonded_terms += c.terms.size();
-        break;
-      case ComputeKind::kAngles:
-        for (int t : c.terms) {
-          const Angle& term = mol.angles()[static_cast<std::size_t>(t)];
-          energy_.angle += angle_energy_force(
-              mol.positions()[static_cast<std::size_t>(term.a)],
-              mol.positions()[static_cast<std::size_t>(term.b)],
-              mol.positions()[static_cast<std::size_t>(term.c)],
-              mol.params.angle(term.param), gfrc[static_cast<std::size_t>(term.a)],
-              gfrc[static_cast<std::size_t>(term.b)],
-              gfrc[static_cast<std::size_t>(term.c)]);
-        }
-        w.bonded_terms += c.terms.size();
-        break;
-      case ComputeKind::kDihedrals:
-        for (int t : c.terms) {
-          const Dihedral& term = mol.dihedrals()[static_cast<std::size_t>(t)];
-          energy_.dihedral += dihedral_energy_force(
-              mol.positions()[static_cast<std::size_t>(term.a)],
-              mol.positions()[static_cast<std::size_t>(term.b)],
-              mol.positions()[static_cast<std::size_t>(term.c)],
-              mol.positions()[static_cast<std::size_t>(term.d)],
-              mol.params.dihedral(term.param), gfrc[static_cast<std::size_t>(term.a)],
-              gfrc[static_cast<std::size_t>(term.b)],
-              gfrc[static_cast<std::size_t>(term.c)],
-              gfrc[static_cast<std::size_t>(term.d)]);
-        }
-        w.bonded_terms += c.terms.size();
-        break;
-      case ComputeKind::kImpropers:
-        for (int t : c.terms) {
-          const Improper& term = mol.impropers()[static_cast<std::size_t>(t)];
-          energy_.improper += improper_energy_force(
-              mol.positions()[static_cast<std::size_t>(term.a)],
-              mol.positions()[static_cast<std::size_t>(term.b)],
-              mol.positions()[static_cast<std::size_t>(term.c)],
-              mol.positions()[static_cast<std::size_t>(term.d)],
-              mol.params.improper(term.param), gfrc[static_cast<std::size_t>(term.a)],
-              gfrc[static_cast<std::size_t>(term.b)],
-              gfrc[static_cast<std::size_t>(term.c)],
-              gfrc[static_cast<std::size_t>(term.d)]);
-        }
-        w.bonded_terms += c.terms.size();
-        break;
-    }
+    energy_ += evaluate_compute(c, mol, ctx, /*tiled=*/nullptr, patch, pos, frc, w);
     total_ += w;
     work_.push_back(w);
   }

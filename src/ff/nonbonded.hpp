@@ -17,7 +17,9 @@ namespace scalemd {
 enum class NonbondedKernel {
   kScalar,        ///< reference AoS loop, per-pair exclusion binary search
   kTiled,         ///< SoA tiles + precomputed exclusion bitmasks
-  kTiledThreads,  ///< tiled kernel fanned across a thread pool
+  /// Tiled kernel fanned across a thread pool. Sequential engine only:
+  /// ParallelSim rejects it, since the runtime parallelizes across PEs.
+  kTiledThreads,
 };
 
 /// Full-electrostatics (smooth particle-mesh Ewald) parameters. When

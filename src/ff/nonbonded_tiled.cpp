@@ -452,90 +452,6 @@ EnergyTerms nonbonded_ab_range_tiled(const NonbondedContext& ctx,
   return e;
 }
 
-namespace {
-
-/// Outer rows handed to one pool task. Small enough to balance triangular
-/// self workloads via the round-robin schedule, large enough to amortize
-/// task dispatch.
-constexpr std::size_t kChunkRows = 32;
-
-}  // namespace
-
-EnergyTerms nonbonded_self_range_tiled_mt(const NonbondedContext& ctx,
-                                          std::span<const int> idx,
-                                          std::span<const Vec3> pos, std::span<Vec3> f,
-                                          std::size_t i_begin, std::size_t i_end,
-                                          WorkCounters& work, TiledThreadWorkspace& ws,
-                                          ThreadPool& pool) {
-  assert(i_end <= idx.size());
-  ws.shared.pair.build_self(ctx, idx, pos, ws.shared.map);
-  const std::size_t n = idx.size();
-  const std::size_t rows = i_end > i_begin ? i_end - i_begin : 0;
-  const std::size_t nchunks = (rows + kChunkRows - 1) / kChunkRows;
-  ws.workers.resize(static_cast<std::size_t>(pool.size()));
-  ws.chunk_energy.assign(nchunks, EnergyTerms{});
-  for (auto& w : ws.workers) {
-    zero3(w.fax, w.fay, w.faz, n);
-    w.work = {};
-  }
-  pool.run(nchunks, [&](std::size_t task, int worker) {
-    auto& pw = ws.workers[static_cast<std::size_t>(worker)];
-    const std::size_t b = i_begin + task * kChunkRows;
-    const std::size_t e = std::min(i_end, b + kChunkRows);
-    ws.chunk_energy[task] =
-        ws.shared.pair.eval_rows(ctx, b, e, pw.fax.data(), pw.fay.data(),
-                                 pw.faz.data(), pw.fax.data(), pw.fay.data(),
-                                 pw.faz.data(), pw.row, pw.work);
-  });
-  // Deterministic reduction: energies in chunk order, forces/counters in
-  // worker order (the static schedule fixes the chunk -> worker mapping).
-  EnergyTerms e;
-  for (const EnergyTerms& ce : ws.chunk_energy) e += ce;
-  for (const auto& pw : ws.workers) {
-    work += pw.work;
-    scatter3(f, pw.fax, pw.fay, pw.faz);
-  }
-  return e;
-}
-
-EnergyTerms nonbonded_ab_range_tiled_mt(const NonbondedContext& ctx,
-                                        std::span<const int> idx_a,
-                                        std::span<const Vec3> pos_a, std::span<Vec3> f_a,
-                                        std::span<const int> idx_b,
-                                        std::span<const Vec3> pos_b, std::span<Vec3> f_b,
-                                        std::size_t a_begin, std::size_t a_end,
-                                        WorkCounters& work, TiledThreadWorkspace& ws,
-                                        ThreadPool& pool) {
-  assert(a_end <= idx_a.size());
-  ws.shared.pair.build_ab(ctx, idx_a, pos_a, idx_b, pos_b, ws.shared.map);
-  const std::size_t rows = a_end > a_begin ? a_end - a_begin : 0;
-  const std::size_t nchunks = (rows + kChunkRows - 1) / kChunkRows;
-  ws.workers.resize(static_cast<std::size_t>(pool.size()));
-  ws.chunk_energy.assign(nchunks, EnergyTerms{});
-  for (auto& w : ws.workers) {
-    zero3(w.fax, w.fay, w.faz, idx_a.size());
-    zero3(w.fbx, w.fby, w.fbz, idx_b.size());
-    w.work = {};
-  }
-  pool.run(nchunks, [&](std::size_t task, int worker) {
-    auto& pw = ws.workers[static_cast<std::size_t>(worker)];
-    const std::size_t b = a_begin + task * kChunkRows;
-    const std::size_t e = std::min(a_end, b + kChunkRows);
-    ws.chunk_energy[task] =
-        ws.shared.pair.eval_rows(ctx, b, e, pw.fax.data(), pw.fay.data(),
-                                 pw.faz.data(), pw.fbx.data(), pw.fby.data(),
-                                 pw.fbz.data(), pw.row, pw.work);
-  });
-  EnergyTerms e;
-  for (const EnergyTerms& ce : ws.chunk_energy) e += ce;
-  for (const auto& pw : ws.workers) {
-    work += pw.work;
-    scatter3(f_a, pw.fax, pw.fay, pw.faz);
-    scatter3(f_b, pw.fbx, pw.fby, pw.fbz);
-  }
-  return e;
-}
-
 EnergyTerms nonbonded_neighbors_tiled(const NonbondedContext& ctx, int gi,
                                       std::span<const Vec3> pos,
                                       std::span<const int> nbrs,

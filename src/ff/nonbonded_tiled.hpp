@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "ff/nonbonded.hpp"
-#include "util/thread_pool.hpp"
 
 namespace scalemd {
 
@@ -126,21 +125,6 @@ struct TiledWorkspace {
   std::vector<double> fax, fay, faz, fbx, fby, fbz;
 };
 
-/// Per-pool-worker scratch for the multithreaded entry points. The shared
-/// TilePair is built once per call; each worker accumulates forces into its
-/// own SoA buffers, reduced in worker order afterwards (deterministic for a
-/// fixed thread count).
-struct TiledThreadWorkspace {
-  TiledWorkspace shared;
-  struct Worker {
-    RowScratch row;
-    std::vector<double> fax, fay, faz, fbx, fby, fbz;
-    WorkCounters work;
-  };
-  std::vector<Worker> workers;
-  std::vector<EnergyTerms> chunk_energy;
-};
-
 // --- drop-in tiled counterparts of the scalar entry points -----------------
 
 EnergyTerms nonbonded_self_tiled(const NonbondedContext& ctx, std::span<const int> idx,
@@ -166,24 +150,6 @@ EnergyTerms nonbonded_ab_range_tiled(const NonbondedContext& ctx,
                                      std::span<const Vec3> pos_b, std::span<Vec3> f_b,
                                      std::size_t a_begin, std::size_t a_end,
                                      WorkCounters& work, TiledWorkspace& ws);
-
-// --- thread-pool variants: outer rows chunked across the pool --------------
-
-EnergyTerms nonbonded_self_range_tiled_mt(const NonbondedContext& ctx,
-                                          std::span<const int> idx,
-                                          std::span<const Vec3> pos, std::span<Vec3> f,
-                                          std::size_t i_begin, std::size_t i_end,
-                                          WorkCounters& work, TiledThreadWorkspace& ws,
-                                          ThreadPool& pool);
-
-EnergyTerms nonbonded_ab_range_tiled_mt(const NonbondedContext& ctx,
-                                        std::span<const int> idx_a,
-                                        std::span<const Vec3> pos_a, std::span<Vec3> f_a,
-                                        std::span<const int> idx_b,
-                                        std::span<const Vec3> pos_b, std::span<Vec3> f_b,
-                                        std::size_t a_begin, std::size_t a_end,
-                                        WorkCounters& work, TiledThreadWorkspace& ws,
-                                        ThreadPool& pool);
 
 // --- pairlist (Verlet) path -------------------------------------------------
 

@@ -14,6 +14,7 @@
 #include "seq/pairlist.hpp"
 #include "topo/exclusions.hpp"
 #include "topo/molecule.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scalemd {
 

@@ -7,6 +7,8 @@
 #include "core/decomposition.hpp"
 #include "core/parallel_sim.hpp"
 #include "core/work_cache.hpp"
+#include "check/golden.hpp"
+#include "trace/event_log.hpp"
 #include "trace/summary.hpp"
 #include "gen/presets.hpp"
 #include "gen/water_box.hpp"
@@ -186,6 +188,60 @@ TEST_F(CoreFixture, PotentialAtStepZeroMatchesWorkCache) {
   EXPECT_NEAR(sim.potential_at_step(0), workload_->work.energy().total(),
               1e-6 * std::fabs(workload_->work.energy().total()));
 }
+
+// A frozen run (numeric = false) charges compute i work_cost(
+// WorkCache::per_compute(i)); a numeric run with the scalar kernel charges
+// work_cost of the counters its live evaluation produced. Both counts come
+// from evaluate_compute, so at the first force evaluation (the WorkCache's
+// coordinates) every compute must be charged the same bits: its first task
+// starts at the same virtual time and lasts exactly as long in both runs.
+class ChargeParityTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ChargeParityTest, FrozenAndNumericChargeEveryComputeTheSame) {
+  const GoldenSpec* spec = find_golden_spec(GetParam());
+  ASSERT_NE(spec, nullptr);
+  const Molecule mol = spec->make();
+  NonbondedOptions nb = spec->engine.nonbonded;
+  nb.kernel = NonbondedKernel::kScalar;
+  const Workload wl(mol, MachineModel::asci_red(), nb);
+  const std::size_t objects =
+      static_cast<std::size_t>(wl.plan.migratable_count());
+  ASSERT_GT(objects, 0u);
+
+  // First task of every migratable compute object, indexed by object id.
+  auto first_tasks = [&](bool numeric) {
+    ParallelOptions opts;
+    opts.num_pes = 4;
+    opts.numeric = numeric;
+    opts.dt_fs = spec->engine.dt_fs;
+    ParallelSim sim(wl, opts);
+    EventLog log;
+    sim.attach_sink(&log);
+    sim.run_cycle(1);
+    sim.detach_sink(&log);
+    std::vector<TaskRecord> first(objects);
+    std::vector<bool> seen(objects, false);
+    for (const TaskRecord& r : log.tasks()) {
+      if (r.object == 0 || r.object > objects) continue;
+      const auto obj = static_cast<std::size_t>(r.object - 1);
+      if (!seen[obj]) first[obj] = r;
+      seen[obj] = true;
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), false), 0);
+    return first;
+  };
+  const std::vector<TaskRecord> frozen = first_tasks(false);
+  const std::vector<TaskRecord> numeric = first_tasks(true);
+  for (std::size_t i = 0; i < objects; ++i) {
+    EXPECT_EQ(frozen[i].pe, numeric[i].pe) << "object " << i;
+    EXPECT_EQ(frozen[i].entry, numeric[i].entry) << "object " << i;
+    EXPECT_EQ(frozen[i].start, numeric[i].start) << "object " << i;
+    EXPECT_EQ(frozen[i].duration, numeric[i].duration) << "object " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(GoldenPresets, ChargeParityTest,
+                         ::testing::Values("waterbox", "chain"));
 
 TEST_F(CoreFixture, ReductionCountsPatchesFrozenMode) {
   ParallelOptions opts;

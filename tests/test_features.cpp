@@ -11,7 +11,6 @@
 #include "seq/engine.hpp"
 #include "seq/minimize.hpp"
 #include "seq/mts.hpp"
-#include "seq/thermostat.hpp"
 #include "topo/io.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
@@ -66,58 +65,6 @@ TEST(MinimizeTest, ConservationAfterMinimization) {
   const double e0 = run.total_energy();
   run.run(200);
   EXPECT_NEAR(run.total_energy(), e0, 0.005 * std::fabs(e0) + 0.5);
-}
-
-// ---------------------------------------------------------------------------
-// Thermostat
-// ---------------------------------------------------------------------------
-
-TEST(ThermostatTest, RescaleHitsTargetExactly) {
-  Molecule mol = make_water_box({14, 14, 14}, 5);
-  mol.assign_velocities(500.0, 9);
-  std::vector<double> masses;
-  for (const Atom& a : mol.atoms()) masses.push_back(a.mass);
-  const std::size_t dof = 3 * static_cast<std::size_t>(mol.atom_count()) - 3;
-
-  const Thermostat thermo(Thermostat::Kind::kRescale, 300.0);
-  const double before = thermo.apply(mol.velocities(), masses, 1.0, dof);
-  EXPECT_NEAR(before, 500.0, 25.0);
-  const double after =
-      temperature(kinetic_energy(mol.velocities(), masses), dof);
-  EXPECT_NEAR(after, 300.0, 1e-9);
-}
-
-TEST(ThermostatTest, BerendsenMovesPartWay) {
-  Molecule mol = make_water_box({14, 14, 14}, 5);
-  mol.assign_velocities(500.0, 9);
-  std::vector<double> masses;
-  for (const Atom& a : mol.atoms()) masses.push_back(a.mass);
-  const std::size_t dof = 3 * static_cast<std::size_t>(mol.atom_count()) - 3;
-
-  const Thermostat thermo(Thermostat::Kind::kBerendsen, 300.0, /*tau_fs=*/100.0);
-  const double before = thermo.apply(mol.velocities(), masses, /*dt_fs=*/10.0, dof);
-  const double after = temperature(kinetic_energy(mol.velocities(), masses), dof);
-  EXPECT_LT(after, before);
-  EXPECT_GT(after, 300.0);  // weak coupling: not all the way in one step
-}
-
-TEST(ThermostatTest, EquilibratesOverRun) {
-  Molecule mol = make_water_box({14, 14, 14}, 7);
-  mol.assign_velocities(600.0, 21);
-  EngineOptions opts;
-  opts.nonbonded.cutoff = 6.0;
-  opts.nonbonded.switch_dist = 5.0;
-  opts.dt_fs = 0.5;
-  SequentialEngine eng(mol, opts);
-  minimize(eng, 50);
-  const Thermostat thermo(Thermostat::Kind::kBerendsen, 300.0, 25.0);
-  const std::size_t dof = 3 * static_cast<std::size_t>(mol.atom_count()) - 3;
-  double t_last = 0.0;
-  for (int i = 0; i < 150; ++i) {
-    eng.step();
-    t_last = thermo.apply(eng.mutable_velocities(), eng.masses(), 0.5, dof);
-  }
-  EXPECT_NEAR(t_last, 300.0, 90.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -161,35 +162,6 @@ TEST(TiledKernelTest, RangePartitionSumsToFullEvaluation) {
   expect_forces_close(f_sum, f_full);
 }
 
-TEST(TiledKernelTest, ThreadedRangeMatchesSerialTiled) {
-  NonbondedOptions opts;
-  opts.cutoff = 6.5;
-  opts.switch_dist = 5.5;
-  KernelSystem sys(small_solvated_chain(700, 17), opts);
-  const int n = sys.mol.atom_count();
-  std::vector<int> idx(static_cast<std::size_t>(n));
-  std::iota(idx.begin(), idx.end(), 0);
-  const auto pos = sys.mol.positions();
-
-  TiledWorkspace ws;
-  std::vector<Vec3> f_serial(static_cast<std::size_t>(n));
-  WorkCounters w_serial;
-  const EnergyTerms e_serial =
-      nonbonded_self_tiled(*sys.ctx, idx, pos, f_serial, w_serial, ws);
-
-  ThreadPool pool(3);
-  TiledThreadWorkspace tws;
-  std::vector<Vec3> f_mt(static_cast<std::size_t>(n));
-  WorkCounters w_mt;
-  const EnergyTerms e_mt = nonbonded_self_range_tiled_mt(
-      *sys.ctx, idx, pos, f_mt, 0, static_cast<std::size_t>(n), w_mt, tws, pool);
-
-  EXPECT_EQ(w_mt.pairs_tested, w_serial.pairs_tested);
-  EXPECT_EQ(w_mt.pairs_computed, w_serial.pairs_computed);
-  expect_energy_close(e_mt, e_serial);
-  expect_forces_close(f_mt, f_serial);
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level equivalence: all kernels, both evaluation paths.
 // ---------------------------------------------------------------------------
@@ -319,7 +291,6 @@ TEST(TiledCoreTest, ParallelSimNumericForcesMatchAcrossKernels) {
   auto forces_with = [&](NonbondedKernel kernel) {
     NonbondedOptions k = nb;
     k.kernel = kernel;
-    k.threads = 2;
     const Workload wl(m, MachineModel::asci_red(), k);
     ParallelOptions opts;
     opts.num_pes = 5;
@@ -332,7 +303,28 @@ TEST(TiledCoreTest, ParallelSimNumericForcesMatchAcrossKernels) {
 
   const auto ref = forces_with(NonbondedKernel::kScalar);
   expect_forces_close(forces_with(NonbondedKernel::kTiled), ref);
-  expect_forces_close(forces_with(NonbondedKernel::kTiledThreads), ref);
+}
+
+TEST(TiledCoreTest, ParallelSimRejectsTiledThreadsOnEveryBackend) {
+  // A plain exception, not an assert: the check must hold in NDEBUG builds.
+  NonbondedOptions nb;
+  nb.cutoff = 6.5;
+  nb.switch_dist = 5.5;
+  nb.kernel = NonbondedKernel::kTiledThreads;
+  const Molecule m = make_water_box({14, 14, 14}, 3);
+  const Workload wl(m, MachineModel::asci_red(), nb);
+  for (BackendKind backend :
+       {BackendKind::kSimulated, BackendKind::kThreaded, BackendKind::kProcess}) {
+    for (bool numeric : {false, true}) {
+      if (!numeric && backend != BackendKind::kSimulated) continue;
+      ParallelOptions opts;
+      opts.num_pes = 2;
+      opts.numeric = numeric;
+      opts.backend = backend;
+      EXPECT_THROW({ ParallelSim sim(wl, opts); }, std::invalid_argument)
+          << backend_name(backend) << (numeric ? " numeric" : " frozen");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
