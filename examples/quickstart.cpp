@@ -11,6 +11,9 @@
 //        quickstart --pes N [--fault-seed S | --fault-plan FILE]
 //                   [--checkpoint-every N] [--check]
 //
+// --kernel picks the sequential engine's non-bonded kernel; without it the
+// library default (tiled) runs, and `--kernel scalar` selects the reference.
+//
 // --check attaches the physics-invariant checker (src/check/) to the run and
 // reports any violated invariant (energy drift, net force/momentum, ...).
 //
@@ -281,7 +284,7 @@ int run_chaos(int pes, const scalemd::FaultPlan& plan, int checkpoint_every,
 int main(int argc, char** argv) {
   using namespace scalemd;
 
-  NonbondedKernel kernel = NonbondedKernel::kScalar;
+  NonbondedKernel kernel = NonbondedOptions{}.kernel;
   int threads = 0;  // 0 = let the engine pick
   bool check = false;
   int pes = 0;  // > 0 selects the parallel chaos demo

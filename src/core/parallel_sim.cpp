@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "core/parallel_sim_rt.hpp"
 #include "ewald/full_elec.hpp"
@@ -79,6 +80,28 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
         "ParallelSim: the tiled+threads kernel is a sequential-engine option; "
         "the runtime takes scalar or tiled");
   }
+  // The threaded and process backends execute tasks for real, so only
+  // numeric mode has work for them to run. Modeled faults and reliable
+  // delivery are built on DES timer semantics and stay DES-only; so does
+  // checkpointing on the threaded backend. The process backend does take
+  // checkpoints: its failures are real worker deaths (SIGKILL, crash, hang),
+  // recovered by replay from an on-disk checkpoint. Like the kernel check,
+  // these run in every build type, before any worker starts.
+  if (opts_.backend != BackendKind::kSimulated) {
+    const auto reject = [&](const char* what) {
+      throw std::invalid_argument(std::string("ParallelSim: the ") +
+                                  backend_name(opts_.backend) + " backend " + what);
+    };
+    if (!opts_.numeric) reject("requires numeric mode");
+    if (!opts_.fault.empty()) reject("takes no fault plan (simulated backend only)");
+    if (opts_.reliable) reject("takes no reliable delivery (simulated backend only)");
+    if (opts_.backend == BackendKind::kThreaded && opts_.checkpoint_every != 0) {
+      reject("takes no checkpointing (simulated and process backends only)");
+    }
+  }
+  if (const char* err = full_elec_error(wl_->nonbonded.full_elec)) {
+    throw std::invalid_argument(std::string("ParallelSim: ") + err);
+  }
   if (opts_.numeric) {
     excl_ = ExclusionTable::build(*mol_);
     charges_.reserve(static_cast<std::size_t>(mol_->atom_count()));
@@ -92,24 +115,9 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
   }
 
   if (opts_.backend == BackendKind::kThreaded) {
-    // The threaded backend runs tasks for real: only numeric mode has real
-    // work to run, and the layers built on DES timer semantics (fault
-    // injection, reliable delivery, checkpoint/restart) stay DES-only.
-    assert(opts_.numeric && "threaded backend requires numeric mode");
-    assert(opts_.fault.empty() && !opts_.reliable &&
-           opts_.checkpoint_every == 0 &&
-           "fault/recovery layers require the simulated backend");
     exec_ = std::make_unique<ThreadedBackend>(opts_.num_pes, opts_.machine,
                                               opts_.threads);
   } else if (opts_.backend == BackendKind::kProcess) {
-    // The process backend also executes for real, in forked worker
-    // processes. Modeled fault plans and reliable delivery stay DES-only,
-    // but checkpointing IS supported: failures here are real worker deaths
-    // (SIGKILL, crash, hang), and recovery replays from an on-disk
-    // checkpoint.
-    assert(opts_.numeric && "process backend requires numeric mode");
-    assert(opts_.fault.empty() && !opts_.reliable &&
-           "fault modeling and reliable delivery require the simulated backend");
     auto proc = std::make_unique<ProcessBackend>(opts_.num_pes, opts_.machine,
                                                  opts_.process);
     proc_ = proc.get();
@@ -135,8 +143,6 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     // Full electrostatics: S slab objects carry the reciprocal solve. The
     // entries exist on every backend (the process wire needs their ids
     // before setup_process_wire registers decoders).
-    assert(full_elec_error(wl_->nonbonded.full_elec) == nullptr &&
-           "invalid full-electrostatics options");
     pme_plan_ = std::make_unique<PmeSlabPlan>(
         mol_->box, to_pme_options(wl_->nonbonded.full_elec),
         std::max(1, opts_.pme.slabs));

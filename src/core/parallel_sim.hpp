@@ -147,8 +147,12 @@ struct ParallelOptions {
 /// one MachineModel) running one workload.
 class ParallelSim {
  public:
-  /// Throws std::invalid_argument when the workload's non-bonded kernel is
-  /// NonbondedKernel::kTiledThreads (a sequential-engine option).
+  /// Throws std::invalid_argument, in every build type, when the workload's
+  /// non-bonded kernel is NonbondedKernel::kTiledThreads (a sequential-engine
+  /// option), when its full-electrostatics options are invalid, or when a
+  /// threaded/process run is frozen (`numeric = false`) or asks for a fault
+  /// plan or reliable delivery; the threaded backend also takes no
+  /// checkpointing.
   ParallelSim(const Workload& workload, const ParallelOptions& opts);
   ~ParallelSim();
 

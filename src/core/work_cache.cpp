@@ -34,6 +34,12 @@ WorkCache::WorkCache(const Molecule& mol, const Decomposition& decomp,
     return gfrc[static_cast<std::size_t>(atom)];
   };
 
+  // Count with the workload's kernel: scalar and tiled produce the same
+  // counters, so DES costs do not depend on the choice. kTiledThreads counts
+  // with the single-threaded tiled kernel (one workspace, no pool).
+  TiledWorkspace ws;
+  TiledWorkspace* tiled = nb.kernel == NonbondedKernel::kScalar ? nullptr : &ws;
+
   work_.reserve(plan.computes().size());
   for (const ComputeDesc& c : plan.computes()) {
     const auto patch = [&](int k) {
@@ -41,7 +47,7 @@ WorkCache::WorkCache(const Molecule& mol, const Decomposition& decomp,
       return PatchView{patch_atoms[p], ppos[p], pfrc[p]};
     };
     WorkCounters w;
-    energy_ += evaluate_compute(c, mol, ctx, /*tiled=*/nullptr, patch, pos, frc, w);
+    energy_ += evaluate_compute(c, mol, ctx, tiled, patch, pos, frc, w);
     total_ += w;
     work_.push_back(w);
   }

@@ -105,7 +105,8 @@ EnergyTerms evaluate_compute(const ComputeDesc& c, const Molecule& mol,
 
 /// Real per-compute-object work counters, obtained by running every compute
 /// object's kernel once at the molecule's initial coordinates (one
-/// sequential-step-equivalent of real force math, scalar kernel). The DES
+/// sequential-step-equivalent of real force math, with the options' kernel;
+/// every kernel yields the same counters). The DES
 /// charges task costs from these counts — the "principle of persistence"
 /// made literal: object loads measured once persist across the simulated
 /// steps. Shared by every ParallelSim over the same workload, so a

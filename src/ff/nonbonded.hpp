@@ -15,8 +15,8 @@ namespace scalemd {
 /// rounding) and identical WorkCounters; they differ only in layout and
 /// parallelism (see ff/nonbonded_tiled.hpp).
 enum class NonbondedKernel {
-  kScalar,        ///< reference AoS loop, per-pair exclusion binary search
-  kTiled,         ///< SoA tiles + precomputed exclusion bitmasks
+  kScalar,        ///< reference AoS loop, per-pair exclusion binary search (oracle)
+  kTiled,         ///< SoA tiles + precomputed exclusion bitmasks (default)
   /// Tiled kernel fanned across a thread pool. Sequential engine only:
   /// ParallelSim rejects it, since the runtime parallelizes across PEs.
   kTiledThreads,
@@ -48,7 +48,7 @@ const char* full_elec_error(const FullElecOptions& fe);
 struct NonbondedOptions {
   double cutoff = 12.0;       ///< A
   double switch_dist = 10.0;  ///< A
-  NonbondedKernel kernel = NonbondedKernel::kScalar;
+  NonbondedKernel kernel = NonbondedKernel::kTiled;
   /// Worker count for kTiledThreads; 0 means ThreadPool::default_threads().
   int threads = 0;
   FullElecOptions full_elec;

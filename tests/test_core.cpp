@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <ostream>
+#include <stdexcept>
+#include <string>
 
 #include "core/compute_plan.hpp"
 #include "core/decomposition.hpp"
@@ -190,19 +194,18 @@ TEST_F(CoreFixture, PotentialAtStepZeroMatchesWorkCache) {
 }
 
 // A frozen run (numeric = false) charges compute i work_cost(
-// WorkCache::per_compute(i)); a numeric run with the scalar kernel charges
-// work_cost of the counters its live evaluation produced. Both counts come
-// from evaluate_compute, so at the first force evaluation (the WorkCache's
+// WorkCache::per_compute(i)); a numeric run charges work_cost of the counters
+// its live evaluation produced. Both counts come from evaluate_compute with
+// the workload's kernel, so at the first force evaluation (the WorkCache's
 // coordinates) every compute must be charged the same bits: its first task
 // starts at the same virtual time and lasts exactly as long in both runs.
-class ChargeParityTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ChargeParityTest, FrozenAndNumericChargeEveryComputeTheSame) {
-  const GoldenSpec* spec = find_golden_spec(GetParam());
+void expect_frozen_and_numeric_charge_the_same(const char* preset,
+                                               NonbondedKernel kernel) {
+  const GoldenSpec* spec = find_golden_spec(preset);
   ASSERT_NE(spec, nullptr);
   const Molecule mol = spec->make();
   NonbondedOptions nb = spec->engine.nonbonded;
-  nb.kernel = NonbondedKernel::kScalar;
+  nb.kernel = kernel;
   const Workload wl(mol, MachineModel::asci_red(), nb);
   const std::size_t objects =
       static_cast<std::size_t>(wl.plan.migratable_count());
@@ -240,8 +243,108 @@ TEST_P(ChargeParityTest, FrozenAndNumericChargeEveryComputeTheSame) {
   }
 }
 
+class ChargeParityTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ChargeParityTest, FrozenAndNumericChargeEveryComputeTheSame) {
+  expect_frozen_and_numeric_charge_the_same(GetParam(), NonbondedKernel::kScalar);
+}
+
+TEST_P(ChargeParityTest, FrozenAndNumericTiledChargeEveryComputeTheSame) {
+  expect_frozen_and_numeric_charge_the_same(GetParam(), NonbondedKernel::kTiled);
+}
+
+// WorkCache counts with the workload's kernel. The tiled kernel reproduces
+// the scalar counters exactly, so switching kernels moves neither the split
+// plan (built from the probe pass) nor any DES task cost.
+class WorkloadKernelTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(WorkloadKernelTest, TiledCountingMatchesScalarPlanAndCounters) {
+  const GoldenSpec* spec = find_golden_spec(GetParam());
+  ASSERT_NE(spec, nullptr);
+  const Molecule mol = spec->make();
+  auto workload = [&](NonbondedKernel kernel) {
+    NonbondedOptions nb = spec->engine.nonbonded;
+    nb.kernel = kernel;
+    return std::make_unique<Workload>(mol, MachineModel::asci_red(), nb);
+  };
+  const auto scalar = workload(NonbondedKernel::kScalar);
+  const auto tiled = workload(NonbondedKernel::kTiled);
+  const auto& sc = scalar->plan.computes();
+  const auto& tc = tiled->plan.computes();
+  ASSERT_EQ(sc.size(), tc.size());
+  for (std::size_t i = 0; i < sc.size(); ++i) {
+    EXPECT_EQ(sc[i].kind, tc[i].kind) << "compute " << i;
+    EXPECT_EQ(sc[i].patches, tc[i].patches) << "compute " << i;
+    EXPECT_EQ(sc[i].frac_begin, tc[i].frac_begin) << "compute " << i;
+    EXPECT_EQ(sc[i].frac_end, tc[i].frac_end) << "compute " << i;
+    const WorkCounters& a = scalar->work.per_compute(i);
+    const WorkCounters& b = tiled->work.per_compute(i);
+    EXPECT_EQ(a.pairs_tested, b.pairs_tested) << "compute " << i;
+    EXPECT_EQ(a.pairs_computed, b.pairs_computed) << "compute " << i;
+    EXPECT_EQ(a.bonded_terms, b.bonded_terms) << "compute " << i;
+    EXPECT_EQ(a.atoms_integrated, b.atoms_integrated) << "compute " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(GoldenPresets, ChargeParityTest,
                          ::testing::Values("waterbox", "chain"));
+INSTANTIATE_TEST_SUITE_P(GoldenPresets, WorkloadKernelTest,
+                         ::testing::Values("waterbox", "chain"));
+
+// Backend preconditions are plain exceptions thrown by the constructor, so
+// they hold in NDEBUG builds and fire before any worker thread or process
+// starts. One case per rejected combination.
+struct BackendRule {
+  const char* name;
+  BackendKind backend;
+  void (*apply)(NonbondedOptions&, ParallelOptions&);
+};
+
+void PrintTo(const BackendRule& r, std::ostream* os) { *os << r.name; }
+
+class BackendPreconditionTest : public ::testing::TestWithParam<BackendRule> {};
+
+TEST_P(BackendPreconditionTest, ConstructorRejects) {
+  NonbondedOptions nb;
+  nb.cutoff = 6.5;
+  nb.switch_dist = 5.5;
+  const Molecule m = make_water_box({14, 14, 14}, 3);
+  Workload wl(m, MachineModel::asci_red(), nb);
+  ParallelOptions opts;
+  opts.num_pes = 2;
+  opts.numeric = true;
+  opts.backend = GetParam().backend;
+  // Applied to the built workload: building one with invalid full-elec
+  // options trips NonbondedContext's assert in builds that keep asserts.
+  GetParam().apply(wl.nonbonded, opts);
+  EXPECT_THROW({ ParallelSim sim(wl, opts); }, std::invalid_argument);
+}
+
+void frozen(NonbondedOptions&, ParallelOptions& o) { o.numeric = false; }
+void fault_plan(NonbondedOptions&, ParallelOptions& o) { o.fault = FaultPlan::chaos(1); }
+void reliable(NonbondedOptions&, ParallelOptions& o) { o.reliable = true; }
+void checkpointing(NonbondedOptions&, ParallelOptions& o) { o.checkpoint_every = 1; }
+void bad_pme_grid(NonbondedOptions& nb, ParallelOptions&) {
+  nb.full_elec.enabled = true;
+  nb.full_elec.grid_x = 12;  // not a power of two
+}
+
+const BackendRule kRejectedCombinations[] = {
+    {"threads_frozen", BackendKind::kThreaded, frozen},
+    {"threads_fault_plan", BackendKind::kThreaded, fault_plan},
+    {"threads_reliable", BackendKind::kThreaded, reliable},
+    {"threads_checkpointing", BackendKind::kThreaded, checkpointing},
+    {"threads_bad_pme_grid", BackendKind::kThreaded, bad_pme_grid},
+    {"process_frozen", BackendKind::kProcess, frozen},
+    {"process_fault_plan", BackendKind::kProcess, fault_plan},
+    {"process_reliable", BackendKind::kProcess, reliable},
+    {"process_bad_pme_grid", BackendKind::kProcess, bad_pme_grid},
+    {"sim_bad_pme_grid", BackendKind::kSimulated, bad_pme_grid},
+};
+
+INSTANTIATE_TEST_SUITE_P(RejectedCombinations, BackendPreconditionTest,
+                         ::testing::ValuesIn(kRejectedCombinations),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 TEST_F(CoreFixture, ReductionCountsPatchesFrozenMode) {
   ParallelOptions opts;
